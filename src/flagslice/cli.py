@@ -103,6 +103,9 @@ def _request(args) -> forms.Request:
     absent.
     """
     _require(args.form is not None, "--form is required")
+    # The library takes the definite case q = 0; the command line does not.
+    _require(args.form != "supq" or None in (args.p, args.q) or args.p >= args.q >= 1,
+             "supq requires p >= q >= 1")
     dims = None if args.dims is None else _parse("--dims", parse_dims, args.dims)
     orbit = args.orbit
     if orbit is not None and ("a=" in orbit or "b=" in orbit):
@@ -116,8 +119,6 @@ def _request(args) -> forms.Request:
         _require(dims in (None, desc.dims), "--orbit block counts disagree with --dims")
         orbit, dims = supq.sign_sequence_of(desc), desc.dims
     req = forms.Request(args.form, n=args.n, p=args.p, q=args.q, dims=dims, orbit=orbit)
-    # The library takes the definite case q = 0; the command line does not.
-    _require(req.form != "supq" or req.q >= 1, "supq requires p >= q >= 1")
     if args.command != "count":
         forms.check_size(req, points=args.command == "points")
     return req

@@ -3,9 +3,11 @@ The flag container: ``FlagMatrix``, a (partial) flag over Q(i) stored as
 Z[i] columns, with the helpers that build and write its columns.
 
 A FlagMatrix keeps each column once, as a Z[i] vector with one positive
-denominator.  The slnr and supq intersection points are built from unit
+denominator.  The intersection points of every form are built from unit
 vectors through ``FlagMatrix.trusted`` and written with ``to_json``,
-neither of which needs ``gaussian``; that module (and with it
+neither of which needs ``gaussian``.  The slmh points of a request reorder
+one set of columns, which ``forms.points`` checks with one ``gaussian.rank``
+call per request.  Apart from that check, ``gaussian`` (and with it
 ``fractions``) is executed only by the paths that cross into Q(i): the
 public constructor with its rank re-check, ``columns``, ``from_columns``,
 ``canonical_key`` and ``from_json``.  The membership tests of the oracle

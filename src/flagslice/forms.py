@@ -16,7 +16,8 @@ from . import _lazy
 from .permutations import (Dims, Word, check_dims, classify_symmetry,
                            double_factorial_descending, format_dims)
 
-flags, slmh, slnr, supq = _lazy("flags"), _lazy("slmh"), _lazy("slnr"), _lazy("supq")
+flags, gaussian = _lazy("flags"), _lazy("gaussian")
+slmh, slnr, supq = _lazy("slmh"), _lazy("slnr"), _lazy("supq")
 
 FORMS = ("slnr", "slmh", "supq")
 
@@ -203,6 +204,10 @@ def points(req: Request) -> tuple[Dims | None, tuple[str, ...],
         if not classify_symmetry(dims).is_symmetric:
             raise ValueError(
                 "slmh intersection points need a symmetric dimension sequence")
+        # Each point reorders these columns, so one exact rank check covers them all.
+        basis = slmh.quaternion_pair_columns(range(1, req.n // 2 + 1))
+        if gaussian.rank([gaussian.gq_of(col, 1) for col in basis]) != req.n:
+            raise ArithmeticError("slmh intersection columns are linearly dependent")
         return None if req.complete else dims, (), (
             (word, [slmh.intersection_point_measurable_h(word, dims)], ())
             for word in slmh.enumerate_measurable_h(dims))

@@ -114,29 +114,22 @@ def expected_length_gb_h(m: int) -> int:
 
 
 @cache
-def _unit_columns(m: int) -> tuple[tuple[tuple, ...], tuple[tuple, ...]]:
-    """The columns e_v and j(e_v) = -e_(m+v) of C^(2m) over Q(i), for
-    v = 1..m, indexed by v - 1: every intersection point on C^(2m) is spanned
-    by m of each, so they are made once per m and shared."""
+def _unit_columns(m: int) -> tuple[tuple[gaussian.ZVector, ...], tuple[gaussian.ZVector, ...]]:
+    """The Z[i] columns e_v and j(e_v) = -e_(m+v) of C^(2m), for v = 1..m,
+    indexed by v - 1: every intersection point on C^(2m) is spanned by all
+    of them, so they are made once per m and shared."""
     n = 2 * m
-    zero, one = gaussian.ZERO, gaussian.ONE
-    minus_one = -one
-
-    def unit(index, value):
-        col = [zero] * n
-        col[index] = value
-        return tuple(col)
-
-    return (tuple(unit(v, one) for v in range(m)),
-            tuple(unit(m + v, minus_one) for v in range(m)))
+    return (tuple(flags.unit_vector(n, v) for v in range(m)),
+            tuple(flags.unit_vector(n, m + v, (-1, 0)) for v in range(m)))
 
 
-def quaternion_pair_columns(s: Sequence[int]) -> list[tuple]:
-    """Columns e_(s_1), ..., e_(s_m), j(e_(s_m)), ..., j(e_(s_1)) in standard
-    coordinates, with j(e_i) = -e_(m+i).  ``s`` is a permutation of 1..m.
+def quaternion_pair_columns(s: Sequence[int]) -> list[gaussian.ZVector]:
+    """Z[i] columns e_(s_1), ..., e_(s_m), j(e_(s_m)), ..., j(e_(s_1)) in
+    standard coordinates, with j(e_i) = -e_(m+i).  ``s`` is a permutation
+    of 1..m.
 
     >>> quaternion_pair_columns((1,))
-    [(GQ(1), GQ(0)), (GQ(0), GQ(-1))]
+    [((1, 0), (0, 0)), ((0, 0), (-1, 0))]
     """
     e, j = _unit_columns(len(s))
     return [e[v - 1] for v in s] + [j[v - 1] for v in reversed(s)]
@@ -280,16 +273,14 @@ def sigma_blocks_of(word: Sequence[int], dims: Sequence[int]) -> tuple[Word, ...
 def intersection_point_measurable_h(word: Sequence[int],
                                     dims: Sequence[int]) -> flags.FlagMatrix:
     """The single partial flag where the Schubert variety meets the cycle,
-    spanned by e_(s_1), ..., e_(s_m), j(e_(s_m)), ..., j(e_(s_1))."""
-    s = tuple(v for block in sigma_blocks_of(word, dims) for v in block)
-    n = len(word)
-    # The columns are independent by construction, so FlagMatrix.trusted
-    # would do; the public constructor is kept for its gaussian.rank call,
-    # the only one on the benchmark's points_mix, whose smoke test requires
-    # rank calls there.  Move to trusted once the benchmark counts the
-    # kernel's calls (ROADMAP, open item 2).
-    return flags.FlagMatrix(n, prefix_sums(check_dims(dims)),
-                            tuple(quaternion_pair_columns(s)))
+    spanned by e_(s_1), ..., e_(s_m), j(e_(s_m)), ..., j(e_(s_1)).
+
+    s is checked to be a permutation, so the columns are a reordering of
+    ``quaternion_pair_columns(range(1, m + 1))``, which ``forms.points``
+    rank-checks once per request; the flag is built by ``trusted``."""
+    s = check_word([v for block in sigma_blocks_of(word, dims) for v in block])
+    return flags.FlagMatrix.trusted(len(word), prefix_sums(check_dims(dims)),
+                                    quaternion_pair_columns(s))
 
 
 def enumerate_nonmeasurable_h(f: Sequence[int]) -> list[Word]:

@@ -536,6 +536,15 @@ def test_config_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("orbit", [[], ["--orbit", "a=1;b=1"], ["--orbit", "a=1,1;b=1"]])
+@pytest.mark.parametrize("p, q", [(2, 0), (0, 2), (1, 2), (0, 0)])
+@pytest.mark.parametrize("command", ["count", "enumerate", "points"])
+def test_bad_supq_signature_has_one_message(command, p, q, orbit, capsys):
+    argv = [command, "--form", "supq", "--p", str(p), "--q", str(q), *orbit]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: supq requires p >= q >= 1\n"
+
+
 @pytest.mark.parametrize("argv, option, field", [
     (["--form", "slnr", "--n", "4", "--dims", "1,,3"], "--dims", "empty field"),
     (["--form", "slnr", "--n", "4", "--dims", "1,3,"], "--dims", "empty field"),

@@ -191,6 +191,10 @@ GOLDEN = {
         "448482e0c8e3f825a31de968309628f0e59f1f397f18c4b2aabf7ced2d110a4f",
     "enumerate --form slmh --n 12 --dims 2,2,4,2,2 --format csv":
         "d0f6a19d003ee72016b51ef2ed9d62bbb8fcb737b286867852b963c47e4b6db6",
+    "points --form slmh --n 12 --dims 2,2,4,2,2 --format json":
+        "43e4c4ae33f2c0227e1c8a7e8192e6b5e5b1fd289ce5b44c893e664151ddc678",
+    "points --form slmh --n 12 --dims 2,2,4,2,2 --format csv":
+        "33f5ea936bd1c774e0da172b993d5f95fe2d5214ef8edcf1ea74d803bb20995d",
     "enumerate --form slnr --n 1 --dims 1 --format json":
         "4086b30c9d5131e504d4f543b7f33ad296ccea04377955b24ce914c2dc6a34f6",
     "enumerate --form slnr --n 1 --dims 1 --format csv":

@@ -6,11 +6,11 @@ from math import factorial
 
 import pytest
 
-from flagslice import slmh
+from flagslice import flags, forms, gaussian, slmh
 from flagslice.geometry import (is_isotropic_flag, is_tau_generic,
                                 iwasawa_reference_h, schubert_cell_membership,
                                 symplectic_omega)
-from flagslice.permutations import inversion_length, ordered_partitions
+from flagslice.permutations import inversion_length, ordered_partitions, prefix_sums
 
 
 def test_spacing_examples():
@@ -212,3 +212,57 @@ def test_generalized_spacing_matches_its_definition():
                     (word, dims)
                 cases += 1
     assert cases == 2 * 2 + 4 * 24 + 8 * 720
+
+
+def _public_point(word, dims):
+    """The intersection point of a word through the public constructor,
+    from GaussianRational columns and with its rank re-check."""
+    n, m = len(word), len(word) // 2
+    s = [v for block in slmh.sigma_blocks_of(word, dims) for v in block]
+
+    def unit(index, value):
+        return tuple(value if i == index else gaussian.ZERO for i in range(n))
+
+    columns = ([unit(v - 1, gaussian.ONE) for v in s]
+               + [unit(m + v - 1, -gaussian.ONE) for v in reversed(s)])
+    return flags.FlagMatrix(n, prefix_sums(dims), columns)
+
+
+@pytest.mark.parametrize("dims", [(1,) * 12] + [d for n in range(2, 11, 2)
+                                                 for d in _palindromes(n)])
+def test_points_equal_the_public_constructor(dims):
+    for word in slmh.enumerate_measurable_h(dims):
+        point = slmh.intersection_point_measurable_h(word, dims)
+        reference = _public_point(word, dims)
+        assert (point.zcols, point.dens, point.dims) == \
+            (reference.zcols, reference.dens, reference.dims), (word, dims)
+
+
+def test_each_points_request_checks_rank_once(monkeypatch):
+    # Once per request, not once per process: a cache of the checked columns
+    # would leave the second request unchecked.
+    calls = []
+    original = gaussian.rank
+
+    def counted(vectors):
+        calls.append(len(vectors))
+        return original(vectors)
+
+    monkeypatch.setattr(gaussian, "rank", counted)
+    for req in (forms.Request("slmh", n=6), forms.Request("slmh", n=6, dims=(2, 2, 2))):
+        before = len(calls)
+        _, _, rows = forms.points(req)
+        assert sum(len(found) for _, found, _ in rows) == len(forms.words(req))
+        assert calls[before:] == [6]
+
+
+def test_points_refuse_a_failed_rank_check(monkeypatch):
+    monkeypatch.setattr(gaussian, "rank", lambda vectors: len(vectors) - 1)
+    with pytest.raises(ArithmeticError):
+        forms.points(forms.Request("slmh", n=4))
+
+
+def test_repeated_sigma_letter_raises(monkeypatch):
+    monkeypatch.setattr(slmh, "sigma_blocks_of", lambda word, dims: ((1, 1),))
+    with pytest.raises(ValueError):
+        slmh.intersection_point_measurable_h((1, 3, 4, 2), (1, 1, 1, 1))
