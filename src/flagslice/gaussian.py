@@ -11,15 +11,17 @@ and spans can all be read from cleared vectors.
 
 The kernel is one-step fraction-free Gauss-Jordan elimination (Bareiss 1968,
 Math. Comp. 22) and its congruence variant for Hermitian forms.  Every
-division is exact in Z[i], entries stay bounded by minors of the input, and a
-division that leaves a remainder raises ArithmeticError rather than corrupt
-the result.  ``rank``, ``det``, ``solve_columns``, ``pivot_rows`` and
+division is exact in Z[i], entries stay bounded by minors of the input, and
+``_divide_exact`` multiplies each quotient back, so a division that leaves a
+remainder raises ArithmeticError rather than corrupt the result.  A row
+update with a real pivot and a real multiplier takes two products per part.
+``rank``, ``det``, ``solve_columns``, ``pivot_rows`` and
 ``subspace_canonical`` are thin adapters from Q(i) to the kernel.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
@@ -141,8 +143,10 @@ def clear(vec: Sequence[GaussianRational]) -> tuple[ZVector, int]:
 
 
 def lowest_terms(vec: Sequence[tuple[int, int]], den: int) -> tuple[ZVector, int]:
-    """The vector vec/den in the form ``clear`` gives it (den > 0)."""
-    g = gcd(den, *(part for x in vec for part in x))
+    """vec/den in the form ``clear`` gives it (den > 0); vec itself if coprime."""
+    g = gcd(den, *chain.from_iterable(vec))
+    if g == 1:
+        return tuple(vec), den
     return tuple((a // g, b // g) for a, b in vec), den // g
 
 
@@ -157,16 +161,17 @@ def gmul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
 
 
 def _divide_exact(vec: list[tuple[int, int]], by: tuple[int, int]) -> list[tuple[int, int]]:
-    # Bareiss guarantees divisibility; a failed guarantee must fail loudly
-    # rather than corrupt the elimination.
+    """vec / by for a division Bareiss guarantees exact: one ``//`` pass by the
+    real norm of ``by``, then each quotient multiplied back must give the
+    dividend, so a remainder raises ArithmeticError and corrupts nothing."""
     c, d = by
     if d:
         vec = [(a * c + b * d, b * c - a * d) for a, b in vec]
-    norm = c * c + d * d if d else c
-    quotients = [(divmod(a, norm), divmod(b, norm)) for a, b in vec]
-    if any(ra or rb for (_, ra), (_, rb) in quotients):
+        c = c * c + d * d
+    quotients = [(a // c, b // c) for a, b in vec]
+    if [(qa * c, qb * c) for qa, qb in quotients] != vec:
         raise ArithmeticError("inexact division during fraction-free elimination")
-    return [(qa, qb) for (qa, _), (qb, _) in quotients]
+    return quotients
 
 
 def eliminate(rows: list, width: int | None = None, reduce: bool = False,
@@ -177,7 +182,9 @@ def eliminate(rows: list, width: int | None = None, reduce: bool = False,
     that depends only on the span of the rows up to it.  A pivot step clears
     its position from the later rows and, with ``reduce`` (Gauss-Jordan), from
     the earlier ones, which leaves every pivot entry equal to the last pivot.
-    Returns each row's pivot position (-1: dependent) and the last pivot.
+    A row becomes (lead * row - entry * pivot row) / previous lead, with two
+    products per part when lead and entry are both real.  Returns each row's
+    pivot position (-1: dependent) and the last pivot.
     """
     if width is None:
         width = len(rows[0]) if rows else 0
@@ -185,22 +192,29 @@ def eliminate(rows: list, width: int | None = None, reduce: bool = False,
     prev = (1, 0)
     found = 0
     for k, row in enumerate(rows):
-        at = next((j for j in range(width - 1, -1, -1) if row[j] != (0, 0)), -1)
+        at = width - 1
+        while at >= 0 and row[at] == (0, 0):
+            at -= 1
         if at < 0:
             continue
         marks[k] = at
         lr, li = lead = row[at]
+        keep, negate = lead == prev, lead == (-prev[0], -prev[1])
         for i in range(0 if reduce else k + 1, len(rows)):
             other = rows[i]
             hr, hi = other[at]
-            if i == k or (lead == prev and not (hr or hi)):
+            if i == k or keep and not (hr or hi):
                 continue
-            if not (hr or hi) and lead == (-prev[0], -prev[1]):  # lead / prev is -1
+            if negate and not (hr or hi):
                 rows[i] = [(-ar, -ai) for ar, ai in other]
                 continue
-            other = [(lr * ar - li * ai - hr * br + hi * bi,
-                      lr * ai + li * ar - hr * bi - hi * br)
-                     for (ar, ai), (br, bi) in zip(other, row)]
+            if li or hi:
+                other = [(lr * ar - li * ai - hr * br + hi * bi,
+                          lr * ai + li * ar - hr * bi - hi * br)
+                         for (ar, ai), (br, bi) in zip(other, row)]
+            else:
+                other = [(lr * ar - hr * br, lr * ai - hr * bi)
+                         for (ar, ai), (br, bi) in zip(other, row)]
             rows[i] = other if prev == (1, 0) else _divide_exact(other, prev)
         prev = lead
         found += 1
@@ -277,11 +291,13 @@ def inertia(gram: Sequence[Sequence[tuple[int, int]]], ends: Sequence[int],
                             (None, None))
                 if a is None:
                     break
-                lam = (1, 0) if g[a][b][0] else (0, 1)
+                lr, li = (1, 0) if g[a][b][0] else (0, 1)
                 for r in rest:
-                    g[a][r] = tuple(map(sum, zip(g[a][r], gmul(lam, g[b][r]))))
+                    (xr, xi), (yr, yi) = g[a][r], g[b][r]
+                    g[a][r] = (xr + lr * yr - li * yi, xi + lr * yi + li * yr)
                 for r in rest:
-                    g[r][a] = tuple(map(sum, zip(g[r][a], gmul(g[r][b], (lam[0], -lam[1])))))
+                    (xr, xi), (yr, yi) = g[r][a], g[r][b]
+                    g[r][a] = (xr + lr * yr + li * yi, xi + lr * yi - li * yr)
                 continue
             d, d_im = g[p][p]
             if d_im:
@@ -293,8 +309,9 @@ def inertia(gram: Sequence[Sequence[tuple[int, int]]], ends: Sequence[int],
             block.remove(p)
             rest.remove(p)
             for a in rest:
-                new = [(d * xr - yr, d * xi - yi)
-                       for (xr, xi), (yr, yi) in zip(g[a], (gmul(g[a][p], y) for y in g[p]))]
+                er, ei = g[a][p]
+                new = [(d * xr - er * yr + ei * yi, d * xi - er * yi - ei * yr)
+                       for (xr, xi), (yr, yi) in zip(g[a], g[p])]
                 g[a] = new if prev == 1 else _divide_exact(new, (prev, 0))
             prev = d
         out.append((neg, pos, len(block)))

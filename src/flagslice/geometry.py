@@ -27,7 +27,7 @@ from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .flags import FlagMatrix, unit_vector
-from .gaussian import (GaussianRational, ZVector, clear, eliminate, gmul, gq_vector,
+from .gaussian import (GaussianRational, ZVector, clear, eliminate, gq_vector,
                        inertia, lowest_terms, prefix_ranks, zdet, zsolve)
 from .gaussian import rank  # noqa: F401  (re-exported; see the module docstring)
 from .permutations import check_word
@@ -112,15 +112,21 @@ _MIRROR = {"symmetric-b": (1, 1), "symplectic-omega": (-1, -1), "hermitian-h": (
 
 
 def _dot(u: ZVector, v: ZVector) -> tuple[int, int]:
-    """sum u_i v_i over Z[i]."""
-    return (sum(a * c - b * d for (a, b), (c, d) in zip(u, v)),
-            sum(a * d + b * c for (a, b), (c, d) in zip(u, v)))
+    """sum u_i v_i over Z[i], skipping the zero entries of v."""
+    re = im = 0
+    for (a, b), (c, d) in zip(u, v):
+        if c or d:
+            re, im = re + a * c - b * d, im + a * d + b * c
+    return (re, im)
 
 
 def _hdot(u: ZVector, v: ZVector) -> tuple[int, int]:
-    """sum u_i conj(v_i) over Z[i]."""
-    return (sum(a * c + b * d for (a, b), (c, d) in zip(u, v)),
-            sum(b * c - a * d for (a, b), (c, d) in zip(u, v)))
+    """sum u_i conj(v_i) over Z[i], skipping the zero entries of v."""
+    re = im = 0
+    for (a, b), (c, d) in zip(u, v):
+        if c or d:
+            re, im = re + a * c + b * d, im + b * c - a * d
+    return (re, im)
 
 
 def bilinear_b() -> FormSpec:
@@ -268,14 +274,15 @@ def random_cell_sample(word: Sequence[int], reference: FlagMatrix, seed: int,
     reference flag, deterministic per seed.
 
     Free entries of the canonical cell matrix are filled with complex
-    rationals whose numerators and denominators are bounded by 100.
+    rationals whose numerators and denominators are bounded by 100, and each
+    column is summed over Z[i] from the nonzero reference entries only.
     """
     word = check_word(word)
     n = len(word)
     rng = random.Random(seed)
     ref_den = lcm(*reference.dens)
-    # the reference columns over Z[i], all over the common denominator ref_den
-    ref = [[(a * (ref_den // d), b * (ref_den // d)) for a, b in z]
+    # each reference column's nonzero entries (row, re, im), over the common ref_den
+    ref = [[(r, a * (ref_den // d), b * (ref_den // d)) for r, (a, b) in enumerate(z) if a or b]
            for z, d in zip(reference.zcols, reference.dens)]
     cleared = []
     for i, v in enumerate(word):
@@ -285,11 +292,15 @@ def random_cell_sample(word: Sequence[int], reference: FlagMatrix, seed: int,
                  for row in range(1, v) if row not in word[:i]]
         den = lcm(*(x for _, (_, b, _, d) in draws for x in (b, d)))
         # the cleared cell column, rotated into actual coordinates
-        vec = [(a * den, b * den) for a, b in ref[v - 1]]
+        re, im = [0] * n, [0] * n
+        for r, a, b in ref[v - 1]:
+            re[r], im[r] = a * den, b * den
         for row, (a, b, c, d) in draws:
-            coeff = (a * (den // b), c * (den // d))
-            vec = [tuple(map(sum, zip(x, gmul(coeff, y)))) for x, y in zip(vec, ref[row - 1])]
-        cleared.append(lowest_terms(vec, den * ref_den))
+            x, y = a * (den // b), c * (den // d)
+            for r, e, f in ref[row - 1]:
+                re[r] += x * e - y * f
+                im[r] += x * f + y * e
+        cleared.append(lowest_terms(tuple(zip(re, im)), den * ref_den))
     zcols, dens = zip(*cleared)
     return FlagMatrix.trusted(n, dims if dims is not None else range(1, n + 1), zcols, dens)
 

@@ -214,6 +214,92 @@ def test_negating_rows_gives_the_elimination_and_determinant(rows, reduce):
         assert zdet(rows) == _zleibniz(rows)
 
 
+def _divide_exact_by_divmod(vec, by):
+    """``_divide_exact`` as it was before the one-pass ``//`` with the
+    multiply-back check: divmod pairs, then a scan of the remainders."""
+    c, d = by
+    if d:
+        vec = [(a * c + b * d, b * c - a * d) for a, b in vec]
+    norm = c * c + d * d if d else c
+    quotients = [(divmod(a, norm), divmod(b, norm)) for a, b in vec]
+    if any(ra or rb for (_, ra), (_, rb) in quotients):
+        raise ArithmeticError("inexact division during fraction-free elimination")
+    return [(qa, qb) for (qa, _), (qb, _) in quotients]
+
+
+def _eliminate_with_complex_updates(rows, width=None, reduce=False):
+    """``eliminate`` as it was before the real-entry row update: a pivot
+    found by a generator, every update with four products per part, and
+    the divmod division."""
+    if width is None:
+        width = len(rows[0]) if rows else 0
+    marks = [-1] * len(rows)
+    prev = (1, 0)
+    found = 0
+    for k, row in enumerate(rows):
+        at = next((j for j in range(width - 1, -1, -1) if row[j] != (0, 0)), -1)
+        if at < 0:
+            continue
+        marks[k] = at
+        lr, li = lead = row[at]
+        for i in range(0 if reduce else k + 1, len(rows)):
+            other = rows[i]
+            hr, hi = other[at]
+            if i == k or (lead == prev and not (hr or hi)):
+                continue
+            if not (hr or hi) and lead == (-prev[0], -prev[1]):  # lead / prev is -1
+                rows[i] = [(-ar, -ai) for ar, ai in other]
+                continue
+            other = [(lr * ar - li * ai - hr * br + hi * bi,
+                      lr * ai + li * ar - hr * bi - hi * br)
+                     for (ar, ai), (br, bi) in zip(other, row)]
+            rows[i] = other if prev == (1, 0) else _divide_exact_by_divmod(other, prev)
+        prev = lead
+        found += 1
+        if found == width:
+            break
+    return marks, prev
+
+
+def _same_elimination(rows, width=None, reduce=False):
+    ours, reference = [list(r) for r in rows], [list(r) for r in rows]
+    assert eliminate(ours, width, reduce) == _eliminate_with_complex_updates(
+        reference, width, reduce)
+    assert ours == reference
+
+
+# Real entries are drawn often, so that many row updates take the real path.
+big_entries = st.one_of(st.tuples(st.integers(-10**6, 10**6), st.just(0)),
+                        st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)))
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+           st.lists(zentries, min_size=n, max_size=n), min_size=1, max_size=6)),
+       st.booleans())
+def test_kernel_matches_the_complex_update_kernel_on_unit_sparse_rows(rows, reduce):
+    _same_elimination(rows, reduce=reduce)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+           st.lists(big_entries, min_size=n, max_size=n), min_size=n, max_size=n)),
+       st.booleans())
+@example([[(3, 0), (5, 0)], [(7, 0), (2, 0)]], False)
+@example([[(2, 1), (0, 3)], [(1, -4), (5, 0)]], True)
+def test_kernel_matches_the_complex_update_kernel_on_dense_rows(rows, reduce):
+    _same_elimination(rows, reduce=reduce)
+    assert zdet(rows) == _zleibniz(rows)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+           st.just(n), st.lists(st.lists(st.one_of(zentries, big_entries),
+                                         min_size=n + 2, max_size=n + 2),
+                                min_size=n, max_size=n))))
+def test_kernel_matches_the_complex_update_kernel_in_solve_shape(case):
+    # rows of [basis | targets], eliminated over the basis part only, as zsolve does
+    n, rows = case
+    _same_elimination(rows, n, reduce=True)
+
+
 @settings(max_examples=40)
 @given(square_matrices(3).flatmap(lambda a: st.tuples(
     st.just(a), st.lists(st.lists(scalars, min_size=len(a), max_size=len(a)),
@@ -280,6 +366,75 @@ def test_inertia_of_a_diagonal_gram(diagonal):
     expected = (sum(d < 0 for d in diagonal), sum(d > 0 for d in diagonal),
                 diagonal.count(0))
     assert inertia(gram, [len(diagonal)]) == [expected]
+
+
+def _inertia_with_gmul(gram, ends):
+    """``inertia`` as it was before its products were written out: every
+    row update and fix-up entry went through ``gmul``."""
+    g = [list(row) for row in gram]
+    rest = list(range(len(g)))
+    neg = pos = 0
+    prev = 1
+    out = []
+    for end in ends:
+        block = [a for a in rest if a < end]
+        while block:
+            p = next((a for a in block if g[a][a] != (0, 0)), None)
+            if p is None:
+                a, b = next(((a, b) for a in block for b in block if g[a][b] != (0, 0)),
+                            (None, None))
+                if a is None:
+                    break
+                lam = (1, 0) if g[a][b][0] else (0, 1)
+                for r in rest:
+                    g[a][r] = tuple(map(sum, zip(g[a][r], gmul(lam, g[b][r]))))
+                for r in rest:
+                    g[r][a] = tuple(map(sum, zip(g[r][a], gmul(g[r][b], (lam[0], -lam[1])))))
+                continue
+            d, d_im = g[p][p]
+            if d_im:
+                raise ArithmeticError("Hermitian pivot is not real")
+            if (d > 0) == (prev > 0):
+                pos += 1
+            else:
+                neg += 1
+            block.remove(p)
+            rest.remove(p)
+            for a in rest:
+                new = [(d * xr - yr, d * xi - yi)
+                       for (xr, xi), (yr, yi) in zip(g[a], (gmul(g[a][p], y) for y in g[p]))]
+                g[a] = new if prev == 1 else _divide_exact_by_divmod(new, (prev, 0))
+            prev = d
+        out.append((neg, pos, len(block)))
+        if block:
+            break
+    return out
+
+
+@st.composite
+def hermitian_grams(draw):
+    """A Hermitian Z[i] Gram matrix, its diagonal mostly zero so that blocks
+    take the v_a += v_b and v_a += i v_b fix-ups, and increasing block ends."""
+    n = draw(st.integers(1, 5))
+    diagonal = st.one_of(st.just(0), st.integers(-6, 6))
+    gram = [[(0, 0)] * n for _ in range(n)]
+    for a in range(n):
+        gram[a][a] = (draw(diagonal), 0)
+        for b in range(a + 1, n):
+            re, im = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+            gram[a][b], gram[b][a] = (re, im), (re, -im)
+    ends = sorted(draw(st.sets(st.integers(1, n), min_size=1)))
+    return gram, ends
+
+
+@given(hermitian_grams())
+@example(([[(0, 0), (1, 0)], [(1, 0), (0, 0)]], [2]))
+@example(([[(0, 0), (0, 2)], [(0, -2), (0, 0)]], [2]))
+@example(([[(0, 0), (0, 0), (3, 1)], [(0, 0), (0, 0), (0, 0)], [(3, -1), (0, 0), (0, 0)]],
+          [1, 3]))
+def test_inertia_matches_the_gmul_inertia(case):
+    gram, ends = case
+    assert inertia(gram, ends) == _inertia_with_gmul(gram, ends)
 
 
 def test_adapters_take_plain_numbers():

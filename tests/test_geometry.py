@@ -1,6 +1,9 @@
 """Flag matrices, forms, and the membership oracles."""
 
+import random
+from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -108,6 +111,43 @@ def test_gram_is_the_table_of_zvalue(case):
     assert form.gram(cols) == [[form.zvalue(u, v) for v in cols] for u in cols]
 
 
+def _two_sum_dot(u, v):
+    return (sum(a * c - b * d for (a, b), (c, d) in zip(u, v)),
+            sum(a * d + b * c for (a, b), (c, d) in zip(u, v)))
+
+
+def _two_sum_hdot(u, v):
+    return (sum(a * c + b * d for (a, b), (c, d) in zip(u, v)),
+            sum(b * c - a * d for (a, b), (c, d) in zip(u, v)))
+
+
+def _two_sum_value(form, u, v):
+    """``FormSpec.zvalue`` with every pairing written as two generator sums."""
+    if form.kind == "symmetric-b":
+        return _two_sum_dot(u, v)
+    if form.kind == "symplectic-omega":
+        m = form.m or len(u) // 2
+        (ar, ai), (br, bi) = _two_sum_dot(u[:m], v[m:]), _two_sum_dot(u[m:], v[:m])
+        return (ar - br, ai - bi)
+    q = form.q
+    (ar, ai), (br, bi) = _two_sum_hdot(u[q:], v[q:]), _two_sum_hdot(u[:q], v[:q])
+    return (ar - br, ai - bi)
+
+
+def _sparse_zvectors(n):
+    return st.lists(st.one_of(st.just((0, 0)), entries), min_size=n, max_size=n).map(tuple)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    _sparse_zvectors(n), _sparse_zvectors(n), st.sampled_from(_forms(n)),
+    st.lists(_sparse_zvectors(n), max_size=6))))
+def test_dots_and_gram_equal_the_two_sum_definitions(case):
+    u, v, form, cols = case
+    assert geometry._dot(u, v) == _two_sum_dot(u, v)
+    assert geometry._hdot(u, v) == _two_sum_hdot(u, v)
+    assert form.gram(cols) == [[_two_sum_value(form, a, b) for b in cols] for a in cols]
+
+
 def test_tau_generic_examples():
     generic = _flag((I, 1), (1, 0))
     assert is_tau_generic(generic)
@@ -188,6 +228,49 @@ def test_random_cell_sample_is_deterministic_and_in_cell():
     assert a.columns == b.columns
     assert a.columns != c.columns
     assert schubert_cell_membership(a, word, reference)
+
+
+def _dense_cell_sample(word, reference, seed, dims=None):
+    """``random_cell_sample`` as it was before the sparse accumulation: each
+    draw added to all n entries through ``gmul``, and one gcd division even
+    when the gcd is 1."""
+    n = len(word)
+    rng = random.Random(seed)
+    ref_den = lcm(*reference.dens)
+    ref = [[(a * (ref_den // d), b * (ref_den // d)) for a, b in z]
+           for z, d in zip(reference.zcols, reference.dens)]
+    cleared = []
+    for i, v in enumerate(word):
+        draws = [(row, [rng.randint(-100, 100), rng.randint(1, 100),
+                        rng.randint(-100, 100), rng.randint(1, 100)])
+                 for row in range(1, v) if row not in word[:i]]
+        den = lcm(*(x for _, (_, b, _, d) in draws for x in (b, d)))
+        vec = [(a * den, b * den) for a, b in ref[v - 1]]
+        for row, (a, b, c, d) in draws:
+            coeff = (a * (den // b), c * (den // d))
+            vec = [tuple(map(sum, zip(x, gmul(coeff, y)))) for x, y in zip(vec, ref[row - 1])]
+        g = gcd(den * ref_den, *(part for x in vec for part in x))
+        cleared.append((tuple((a // g, b // g) for a, b in vec), den * ref_den // g))
+    zcols, dens = zip(*cleared)
+    return FlagMatrix.trusted(n, dims if dims is not None else range(1, n + 1), zcols, dens)
+
+
+def test_cell_sample_equals_the_dense_cell_sample():
+    references = [standard_reference(n) for n in range(1, 6)]
+    references += [iwasawa_reference_h(2), iwasawa_reference_su(2, 2),
+                   iwasawa_reference_su(3, 2),
+                   # complex entries over several denominators
+                   _flag(gq_vector((Fraction(1, 2), I, 0)), gq_vector((0, 1, Fraction(2, 3) * I)),
+                         gq_vector((1, 0, 1)))]
+    for reference in references:
+        n = reference.n
+        for word in permutations(range(1, n + 1)):
+            for seed in (0, 1, 952804):
+                for dims in (None, (1, n)) if n > 1 else (None,):
+                    ours = random_cell_sample(word, reference, seed, dims)
+                    theirs = _dense_cell_sample(word, reference, seed, dims)
+                    assert (ours.n, ours.dims, ours.zcols, ours.dens) == \
+                        (theirs.n, theirs.dims, theirs.zcols, theirs.dens)
 
 
 def test_fast_generic_test_agrees_with_definition():

@@ -5,7 +5,7 @@ from itertools import chain, combinations, permutations as iter_permutations
 
 import pytest
 
-from flagslice import slnr
+from flagslice import forms, slnr
 from flagslice.geometry import (FlagMatrix, bilinear_b, is_isotropic_flag,
                                 is_tau_generic, orientation_class,
                                 schubert_cell_membership, standard_reference)
@@ -322,3 +322,15 @@ def test_projected_point_counts():
     word = slnr.enumerate_measurable((1, 2, 1))[0]
     assert len(slnr.projected_cycle_points(word, (1, 2, 1))) == \
         2 * slnr.intersection_count_measurable((1, 2, 1))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_every_measurable_word_projects_to_the_stated_count(n):
+    # verify's projected-count check projects three words of each type; here
+    # every word of every measurable type with this n is projected
+    for dims in _palindromes(n):
+        if len(dims) == 1:
+            continue
+        expected = slnr.intersection_count_measurable(dims) * (2 if n % 2 == 0 else 1)
+        for word in forms.words(forms.Request("slnr", n=n, dims=dims)):
+            assert len(slnr.projected_cycle_points(word, dims)) == expected, (dims, word)
