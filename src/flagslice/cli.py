@@ -10,7 +10,9 @@ Exit codes: 0 success, 2 configuration error, 3 verification failure,
 nothing on stderr.
 Output depends only on the arguments and ``--seed``.  ``enumerate`` and
 ``points`` write each row as soon as it is built; the other commands render
-their whole payload first, through ``json.dumps`` or ``csv.writer``.
+their whole payload first, through ``json.dumps`` or ``csv.writer``, except
+that ``homology`` splices its JSON class list into the rendered payload as
+one join.
 ``enumerate`` and ``points`` write each row straight from its word into one
 text template made once per request; ``points`` fills in its further fields
 and its flags too, each flag joined from column texts made once per
@@ -277,8 +279,18 @@ def cmd_homology(args) -> int:
     else:
         expansion = homology.base_cycle_class(req.form, n=req.n, p=req.p, q=req.q,
                                               dims=req.dims, orbit=req.orbit)
-    _write_payload(args, {"command": "homology", "config": _config_echo(args),
-                          "rows": [expansion.to_json()]})
+    row = expansion.to_json()
+    payload = {"command": "homology", "config": _config_echo(args), "rows": [row]}
+    if args.format == "csv" or not row["classes"]:
+        _write_payload(args, payload)
+        return 0
+    # The class texts hold only digits and spaces, so each is its JSON text
+    # in quotes: the list is spliced in at the indent of the row's keys
+    # where "\0" stands, as ``_flag_text`` does for columns.
+    classes, row["classes"] = row["classes"], "\0"
+    head, tail = render(payload, "json").split('"\\u0000"')
+    listed = _json_list(['"%s"' % text for text in classes], "      ")
+    _write(args, iter((head + listed + tail,)))
     return 0
 
 

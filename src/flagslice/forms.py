@@ -9,12 +9,11 @@ same words, counts, lengths and rows through them.
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb
 from typing import Iterator, NamedTuple
 
 from . import _lazy
-from .permutations import (Dims, Word, check_dims, classify_symmetry,
-                           double_factorial_descending, format_dims)
+from .permutations import Dims, Word, check_dims, classify_symmetry, format_dims
 
 flags, gaussian = _lazy("flags"), _lazy("gaussian")
 slmh, slnr, supq = _lazy("slmh"), _lazy("slnr"), _lazy("supq")
@@ -128,15 +127,27 @@ def length(req: Request) -> int:
 
 
 def closed_count(req: Request) -> int | None:
-    """The number of words of a complete-flag request without an orbit,
-    from its closed form; None for the others, which have none."""
-    if not req.complete or req.orbit is not None:
+    """The number of words of a request, from its closed form; None for
+    asymmetric ``dims`` and supq orbits, which have none.
+
+    - slnr and slmh, complete flags or symmetric ``dims`` with core parts
+      c_j: block pair j takes c_j disjoint pairs of neighbours from the
+      r_j letters left, r_0 = n and r_(j+1) = r_j - 2 c_j.  For slnr that
+      is binom(r_j - c_j, c_j) ways, pairs on a path of r_j letters; for
+      slmh binom(r_j / 2, c_j), over the aligned pairs (2v-1, 2v).  Complete
+      flags give (n-1)(n-3)... and (n/2)!.
+    - supq without an orbit: ``supq.count_i_pq(p, q)``.
+    """
+    if req.form == "supq":
+        return supq.count_i_pq(req.p, req.q) if req.orbit is None else None
+    cls = classify_symmetry(req.flag_dims)
+    if not cls.is_symmetric:
         return None
-    if req.form == "slnr":
-        return double_factorial_descending(req.n)
-    if req.form == "slmh":
-        return factorial(req.n // 2)
-    return supq.count_i_pq(req.p, req.q)
+    total, left = 1, req.n
+    for c in cls.core:
+        total *= comb(left - c, c) if req.form == "slnr" else comb(left // 2, c)
+        left -= 2 * c
+    return total
 
 
 def count(req: Request) -> int:
@@ -147,14 +158,15 @@ def count(req: Request) -> int:
 
 
 # The command line writes each row as it is built, but builds the word list
-# of a request whole, so it refuses a complete-flag request over these
+# of a request whole, so it refuses a request with a closed count over these
 # budgets before anything is enumerated.  Measured with streamed rows (child
 # peak resident set, Python 3.11, 2-vCPU host): enumerate slnr --n 15 (645120
-# words) peaks at 119 MB, about 0.18 KB per word, nearly all word tuples;
-# points slnr --n 10 (30240 flags, 945 words, 343 MB of JSON) peaks at 18 MB
-# and takes 1.0 s, points supq --p 6 --q 4 (15120 flags) 17 MB and 0.9 s.
-# So MAX_WORDS allows a peak of about 190 MB, and MAX_POINTS about 1 s and
-# 360 MB of JSON.
+# words) takes 1.4 s and peaks at 129 MB, about 0.2 KB per word: the word
+# tuples, plus one itemgetter per word of n = 13 while the first block pair
+# is read off; points slnr --n 10 (30240 flags, 945 words, 343 MB of JSON)
+# peaks at 18 MB and takes 1.0 s, points supq --p 6 --q 4 (15120 flags) 17 MB
+# and 0.9 s.  So MAX_WORDS allows a peak of about 200 MB, and MAX_POINTS
+# about 1 s and 360 MB of JSON.
 MAX_WORDS = 1_000_000
 MAX_POINTS = 32_000
 
@@ -163,7 +175,8 @@ def check_size(req: Request, points: bool = False) -> None:
     """Raise ValueError when the words of a request, or their intersection
     points when ``points`` is set, exceed their budget."""
     total = closed_count(req)
-    if total is None:
+    # slnr points of partial flags are refused by ``points`` with its own message.
+    if total is None or points and req.form == "slnr" and not req.complete:
         return
     if points:
         per_word = (2 ** (req.n // 2) if req.form == "slnr"

@@ -23,7 +23,7 @@ from functools import cache
 from typing import Sequence
 
 from . import _lazy
-from .permutations import Word, check_dims, check_word, prefix_sums
+from .permutations import Dims, Word, check_word, prefix_sums
 from .slnr import (_block_pairs, _pair_words, _require_symmetric, kl_split,
                    through_model)
 from .slnr import measurable_model  # noqa: F401  (the shared symmetric model)
@@ -270,17 +270,44 @@ def sigma_blocks_of(word: Sequence[int], dims: Sequence[int]) -> tuple[Word, ...
     return tuple(out)
 
 
+@cache
+def _point_plan(dims: Dims) -> tuple[int, Dims, tuple[tuple[int, int], ...]]:
+    """What ``intersection_point_measurable_h`` needs of a symmetric ``dims``
+    on C^(2m): n = 2m, the cumulative dims, and the m position pairs
+    (head, tail) of a minimal word, in the order of s: the i-th places of
+    each block and its mirror block, then the places 2i and 2i+1 of the
+    middle block."""
+    cls = _require_symmetric(dims)
+    n, ends = sum(dims), prefix_sums(dims)
+    if n % 2:
+        raise ValueError("quaternionic words need even length")
+    starts = [end - d for d, end in zip(dims, ends)]
+    pairs = [(starts[j] + i, starts[-1 - j] + i) for j, c in enumerate(cls.core)
+             for i in range(c)]
+    if cls.kind == "symmetric-e":
+        pairs += [(t, t + 1) for t in range(starts[len(cls.core)], ends[len(cls.core)], 2)]
+    return n, ends, tuple(pairs)
+
+
 def intersection_point_measurable_h(word: Sequence[int],
                                     dims: Sequence[int]) -> flags.FlagMatrix:
     """The single partial flag where the Schubert variety meets the cycle,
     spanned by e_(s_1), ..., e_(s_m), j(e_(s_m)), ..., j(e_(s_1)).
 
-    s is checked to be a permutation, so the columns are a reordering of
-    ``quaternion_pair_columns(range(1, m + 1))``, which ``forms.points``
-    rank-checks once per request; the flag is built by ``trusted``."""
-    s = check_word([v for block in sigma_blocks_of(word, dims) for v in block])
-    return flags.FlagMatrix.trusted(len(word), prefix_sums(check_dims(dims)),
-                                    quaternion_pair_columns(s))
+    ``word`` is a minimal representative, as every word of
+    ``enumerate_measurable_h(dims)`` is, so its blocks are increasing and
+    the generalized strictly pairing condition reads each head and its tail
+    at places fixed by ``dims`` (``_point_plan``, made once per ``dims``):
+    the head odd and the tail one more; s holds the heads deflated.  A word
+    failing that, or one whose s is not a permutation, raises ValueError.
+    So the columns are a reordering of ``quaternion_pair_columns(range(1,
+    m + 1))``, which ``forms.points`` rank-checks once per request; the flag
+    is built by ``trusted``."""
+    n, ends, pairs = _point_plan(tuple(dims))
+    if len(word) != n or any(word[t] != word[h] + 1 or not word[h] & 1 for h, t in pairs):
+        raise ValueError(f"word fails the generalized strictly pairing condition: {word!r}")
+    s = check_word([(word[h] + 1) >> 1 for h, _ in pairs])
+    return flags.FlagMatrix.trusted(n, ends, quaternion_pair_columns(s))
 
 
 def enumerate_nonmeasurable_h(f: Sequence[int]) -> list[Word]:

@@ -23,6 +23,7 @@ flags are its all-ones case: ``enumerate_gb(n)`` is
 from __future__ import annotations
 
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import _lazy
@@ -294,33 +295,33 @@ def _pair_words(core: Sequence[int], n: int, aligned: bool = False) -> list[Word
     v, and they give the head 2v-1 and the tail 2v.  The next pair of a
     block starts at an edge t' >= t of the shrunk residual, so each block's
     heads and tails come out increasing; a word is fixed by its heads, so
-    the words come out in order.
+    the words come out in order.  The words of ``core[j + 1:]`` on a
+    residual are its words on positions, relabelled: so block pair j reads
+    a word off each choice (heads, tails, rest) with one ``itemgetter`` per
+    word of the level below, made once, from the middle block out.
 
     >>> _pair_words((1, 1), 4, aligned=True)
     [(1, 3, 4, 2), (3, 1, 2, 4)]
     """
-    if not core:
-        return [tuple(range(1, n + 1))]
     stride, head = (2, 0) if aligned else (1, 1)
-    words: list[Word] = []
+    r = n - 2 * sum(core)
+    words = [tuple(range(r) if core else range(1, n + 1))]  # The middle block.
 
-    def step(j: int, left: int, start: int, residual: Word, heads: Word,
-             block: Word, done: Word) -> None:
-        # ``left`` more pairs for block pair j, the next at edge >= start;
-        # ``block`` holds its tails so far, ``done`` those of the blocks
-        # before it, in word order.
+    def choices(residual: Word, left: int, start: int, heads: Word, tails: Word):
+        # ``left`` more pairs, the next at edge >= start.
         for t in range(start, len(residual) - 2 * left + 1, stride):
             rest = residual[:t] + residual[t + 2:]
-            k = heads + (residual[t + head],)
-            l = block + (residual[t + 1 - head],)
-            if left > 1:
-                step(j, left - 1, t, rest, k, l, done)
-            elif j + 1 < len(core):
-                step(j + 1, core[j + 1], 0, rest, k, (), l + done)
-            else:
-                words.append(k + rest + l + done)
+            k, l = heads + (residual[t + head],), tails + (residual[t + 1 - head],)
+            yield from (choices(rest, left - 1, t, k, l) if left > 1 else (k + l + rest,))
 
-    step(0, core[0], 0, tuple(range(1, n + 1)), (), (), ())
+    for j, c in reversed([*enumerate(core)]):
+        r += 2 * c
+        getters = [itemgetter(*range(c), *[2 * c + i for i in word], *range(c, 2 * c))
+                   for word in words]
+        del words  # Freed before the next level's words are built.
+        residual = tuple(range(1, n + 1) if j == 0 else range(r))
+        words = [get(picked) for picked in choices(residual, c, 0, (), ())
+                 for get in getters]
     return words
 
 

@@ -69,6 +69,29 @@ def test_count_of_complete_flags_does_not_enumerate(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["rows"] == [{"count": expect}]
 
 
+def test_count_of_symmetric_dims_does_not_enumerate(monkeypatch, capsys):
+    def refuse(req):
+        raise AssertionError("count enumerated the words")
+
+    monkeypatch.setattr(forms, "words", refuse)
+    # 15!! words, as many as complete flags on 16 letters; for slmh,
+    # binom(12, 2) ways for the first block pair, then 10!.
+    for argv, expect in ((["--form", "slnr", "--n", "16", "--dims",
+                           "1,1,1,1,1,1,1,2,1,1,1,1,1,1,1"], 2027025),
+                         (["--form", "slmh", "--n", "24", "--dims", "2" + ",1" * 20 + ",2"],
+                          66 * 3628800)):
+        assert cli.main(["count", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == [{"count": expect}]
+
+
+def test_slnr_partial_points_keep_their_refusal(capsys):
+    # Over the points budget by its closed count, but refused as partial.
+    argv = ["points", "--form", "slnr", "--n", "16", "--dims", "1,1,1,1,1,1,1,2,1,1,1,1,1,1,1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: slnr intersection points are computed for complete flags only\n"
+
+
 def test_row_length_is_the_closed_form():
     requests = [forms.Request(form, n=n, dims=dims)
                 for form in ("slnr", "slmh") for n in range(1, 9)
@@ -484,6 +507,9 @@ def test_streamed_requests_stay_near_the_interpreter_peak():
     ["points", "--form", "slnr", "--n", "12"],
     ["enumerate", "--form", "supq", "--p", "12", "--q", "8", "--format", "csv"],
     ["points", "--form", "slmh", "--n", "16", "--dims", "1" + ",1" * 15],
+    ["enumerate", "--form", "slnr", "--n", "16", "--dims", "1,1,1,1,1,1,1,2,1,1,1,1,1,1,1"],
+    ["homology", "--form", "slmh", "--n", "24", "--dims", "2" + ",1" * 20 + ",2"],
+    ["points", "--form", "slmh", "--n", "20", "--dims", "2" + ",1" * 16 + ",2"],
 ])
 def test_oversized_requests_exit_2_before_enumerating(monkeypatch, capsys, argv):
     def refuse(*args, **kwargs):
@@ -518,8 +544,11 @@ def test_size_limits_sit_between_the_measured_requests():
     assert not fits(form="slmh", n=16, points=True)
     assert fits(form="supq", p=6, q=4, points=True)
     assert not fits(form="supq", p=6, q=5, points=True)
-    # Partial flags and orbits have no closed-form count and are not checked.
+    # Symmetric --dims are checked by their closed count; asymmetric ones and
+    # orbits have none and are not checked.
     assert fits(form="slnr", n=40, dims=(20, 20))
+    assert not fits(form="slnr", n=16, dims=(1,) * 7 + (2,) + (1,) * 7)
+    assert fits(form="slnr", n=40, dims=(19, 21))
     assert fits(form="supq", p=20, q=20, orbit="-+" * 20)
 
 
@@ -649,6 +678,18 @@ def test_cross_command_parity(capsys, argv, expansion, has_points):
         assert code == 0 and [row["word"] for row in points] == words
     else:
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [case[0] for case in PARITY] + [
+    ["--form", "slnr", "--n", "11"], ["--form", "supq", "--p", "5", "--q", "3"],
+    ["--form", "slmh", "--n", "12", "--dims", "2,2,4,2,2"]],
+    ids=lambda argv: " ".join(argv))
+def test_homology_json_is_json_dumps(capsys, argv):
+    # The class list is spliced into the rendered payload; the bytes are still
+    # those of json.dumps of the whole payload.
+    assert cli.main(["homology", *argv]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_out_file_and_determinism(tmp_path):

@@ -6,7 +6,9 @@ digest was recorded.  The corpus is every dispatch branch of
 both formats, plus the README examples (without ``verify --seed 0``, which
 is too slow for this test), plus requests with n >= 10, where a word's
 ``display`` is space-separated, plus ``--n 1 --dims 1``, whose block list
-holds no comma and so is not quoted in CSV, plus the full ``verify`` suite
+holds no comma and so is not quoted in CSV, plus word and class lists of
+several block pairs over a middle block (odd ``--n``, ``--dims`` with a
+middle block) and long spliced class lists, plus the full ``verify`` suite
 at two seeds with one sample per sampling case.  A change that alters one
 of these outputs on purpose records the new digest here and says why.
 """
@@ -207,6 +209,14 @@ GOLDEN = {
         "830e9b1a67c0fef3d36f50864a39de17854bce9242cf00551cdbbcca17d32cea",
     "points --form slmh --n 10 --format csv":
         "5709e1f0924f8ec48ad7ef4646e7490c103f212c74d51adf48eabcf834817f0f",
+    "enumerate --form slnr --n 11":
+        "a280de3b769819825a87d38bc0abdf9213a82125fff2ff2237f7f165bcc7b7a9",
+    "enumerate --form slmh --n 12 --dims 2,2,4,2,2":
+        "448482e0c8e3f825a31de968309628f0e59f1f397f18c4b2aabf7ced2d110a4f",
+    "homology --form supq --p 5 --q 3":
+        "e2a36bdbb69917152b03ab9fd508c4828cff03d6275a5911ed76de0e4f889858",
+    "homology --form slmh --n 12":
+        "32e7e0bd81a5c665bc1c07be54989d560cae3740274c9ae5be7e737b686a074c",
     "verify --fast":
         "1ea7d990785af2526c8096030b8e922a9232cbab4fced9142bc886158a3744dd",
     "verify --seed 0 --samples 1":

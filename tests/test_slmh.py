@@ -262,7 +262,19 @@ def test_points_refuse_a_failed_rank_check(monkeypatch):
         forms.points(forms.Request("slmh", n=4))
 
 
-def test_repeated_sigma_letter_raises(monkeypatch):
-    monkeypatch.setattr(slmh, "sigma_blocks_of", lambda word, dims: ((1, 1),))
+def test_repeated_sigma_letter_raises():
+    # Each head is odd and its tail one more, but s = (1, 1) repeats a letter.
+    with pytest.raises(ValueError, match="not a permutation"):
+        slmh.intersection_point_measurable_h((1, 1, 2, 2), (1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("word, dims", [
+    ((1, 3, 4, 2, 5, 6), (1, 1, 1, 1)),  # the word is longer than dims
+    ((3, 2, 5, 6, 1, 4), (1,) * 6),    # the tail of 2 is not 3
+    ((2, 3, 4, 3), (1, 1, 1, 1)),      # each tail one more, but a head is even
+    ((1, 3, 2, 4), (1, 3)),            # asymmetric dims
+    ((1, 2, 3), (1, 1, 1)),            # odd length
+])
+def test_points_refuse_words_failing_the_pairing(word, dims):
     with pytest.raises(ValueError):
-        slmh.intersection_point_measurable_h((1, 3, 4, 2), (1, 1, 1, 1))
+        slmh.intersection_point_measurable_h(word, dims)

@@ -9,8 +9,8 @@ from flagslice import forms, slnr
 from flagslice.geometry import (FlagMatrix, bilinear_b, is_isotropic_flag,
                                 is_tau_generic, orientation_class,
                                 schubert_cell_membership, standard_reference)
-from flagslice.permutations import (flag_manifold_dimension, inversion_length,
-                                    minimal_coset_representative,
+from flagslice.permutations import (classify_symmetry, flag_manifold_dimension,
+                                    inversion_length, minimal_coset_representative,
                                     ordered_partitions, parse_word, prefix_sums)
 
 
@@ -163,6 +163,42 @@ def test_enumerate_measurable_is_the_filtered_representatives(n):
         assert words == sorted(w for w in representatives
                                if slnr.generalized_double_box_check(w, dims)), dims
         assert all(a < b for a, b in zip(words, words[1:])), dims
+
+
+def _reference_pair_words(core, n, aligned=False):
+    """``slnr._pair_words`` as one recursive walk that slices and joins the
+    tuples of each word at its leaf: the reference for the list that
+    ``_pair_words`` reads off per-level templates."""
+    if not core:
+        return [tuple(range(1, n + 1))]
+    stride, head = (2, 0) if aligned else (1, 1)
+    words = []
+
+    def step(j, left, start, residual, heads, block, done):
+        for t in range(start, len(residual) - 2 * left + 1, stride):
+            rest = residual[:t] + residual[t + 2:]
+            k = heads + (residual[t + head],)
+            l = block + (residual[t + 1 - head],)
+            if left > 1:
+                step(j, left - 1, t, rest, k, l, done)
+            elif j + 1 < len(core):
+                step(j + 1, core[j + 1], 0, rest, k, (), l + done)
+            else:
+                words.append(k + rest + l + done)
+
+    step(0, core[0], 0, tuple(range(1, n + 1)), (), (), ())
+    return words
+
+
+# slmh is the aligned walk, on even n only.
+@pytest.mark.parametrize("form, n", [("slnr", n) for n in range(1, 13)]
+                         + [("slmh", n) for n in range(2, 13, 2)])
+def test_pair_words_equal_the_reference_walk(form, n):
+    for dims in _palindromes(n):
+        core = classify_symmetry(dims).core
+        words = slnr._pair_words(core, n, aligned=form == "slmh")
+        assert words == _reference_pair_words(core, n, aligned=form == "slmh"), dims
+        assert len(words) == forms.closed_count(forms.Request(form, n=n, dims=dims)), dims
 
 
 def test_enumerate_measurable_lifts_into_gb():
