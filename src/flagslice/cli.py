@@ -9,35 +9,36 @@ Exit codes: 0 success, 2 configuration error, 3 verification failure,
 141 when the reader closes stdout before the output ends (``| head``), with
 nothing on stderr.
 Output depends only on the arguments and ``--seed``.  ``enumerate`` and
-``points`` write each row as soon as it is built; the other commands render
-their whole payload first, through ``json.dumps`` or ``csv.writer``, except
-that ``homology`` splices its JSON class list into the rendered payload as
-one join.
-``enumerate`` and ``points`` write each row straight from its word into one
-text template made once per request; ``points`` fills in its further fields
-and its flags too, each flag joined from column texts made once per
-request.  Only ``render``'s CSV path imports ``csv``.  ``points`` executes
-``flags`` and its form's module, and ``gaussian`` only for slmh (the public
-``FlagMatrix`` constructor's rank re-check); only ``verify`` executes
-``geometry``.
+``points`` write each row as soon as it is built, through ``tables``, the
+row-table writer, which only they execute; the other commands render their
+whole payload first, through ``json.dumps`` or ``csv.writer``, except that
+``homology`` splices its JSON class list into the rendered payload as one
+join.  Only ``render``'s CSV path imports ``csv``.
+
+``COMMANDS`` lists each command's help and options.  The parser that
+``build_parser`` gives reads a well-formed command line from it; any other
+line, and a request for help, goes to the ``argparse`` parser built from
+the same table, which is imported only then and prints the help, or the
+usage and the error.
+``points`` executes ``flags`` and its form's module, and ``gaussian`` only
+for slmh (the public ``FlagMatrix`` constructor's rank re-check); only
+``verify`` executes ``geometry``.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
 import sys
-from functools import cache
 from itertools import chain, repeat
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 from . import _lazy, forms
-from .permutations import (blocks, format_blocks, format_word, parse_dims,
-                           parse_ints, prefix_sums, word_text)
+from .permutations import blocks, format_blocks, format_word, parse_dims, parse_ints, word_text
 
-flags, homology, supq = _lazy("flags"), _lazy("homology"), _lazy("supq")
+homology, supq, tables = _lazy("homology"), _lazy("supq"), _lazy("tables")
 
 
 class ConfigError(Exception):
@@ -48,39 +49,106 @@ class ConfigError(Exception):
 # the code a shell reports for a program that SIGPIPE ends, 128 + 13.
 EXIT_OUTPUT_CLOSED = 141
 
+# Per option: its name, its type (None: the text itself; bool: a flag that
+# takes no value), its choices, its default and its help.
+_OUTPUT_OPTIONS = (
+    ("format", None, ("json", "csv"), "json", None),
+    ("seed", int, None, 0, None),
+    ("out", None, None, None, "write output to a file instead of stdout"),
+)
+_REQUEST_OPTIONS = (
+    ("form", None, forms.FORMS, None, "real form"),
+    ("n", int, None, None, "ambient dimension (slnr, slmh)"),
+    ("p", int, None, None, "positive signature size (supq)"),
+    ("q", int, None, None, "negative signature size (supq)"),
+    ("dims", None, None, None, "dimension sequence, e.g. 2,4,3"),
+    ("orbit", None, None, None, "sign sequence, e.g. '(-+)(-+++)(-++)'"),
+) + _OUTPUT_OPTIONS
+# Each command, in the order of the help, with its help and its options.
+COMMANDS = {
+    "enumerate": ("list the Schubert words meeting the cycle(s)", _REQUEST_OPTIONS),
+    "points": ("list the varieties with their intersection flags", _REQUEST_OPTIONS),
+    "count": ("print the number of varieties", _REQUEST_OPTIONS),
+    "homology": ("print the cycle class expansion", _REQUEST_OPTIONS),
+    "verify": ("run the exact-geometry cross-check suites", (
+        ("samples", int, None, 20, "sampling trials per cell (escalates x5 before failing)"),
+        ("fast", bool, None, False, "skip the randomized sampling checks"),
+    ) + _OUTPUT_OPTIONS),
+}
 
-def build_parser() -> argparse.ArgumentParser:
+
+class Parser:
+    """The command-line parser of ``COMMANDS``.  ``parse_args`` reads a
+    command and its options, each spelled in full as ``--opt value`` or
+    ``--opt=value`` (a flag as ``--opt``), with a value of the option's
+    type and choices that does not start with ``-``, and returns the
+    namespace ``argparse`` would, every option not given at its default.
+    Any other line goes to the ``argparse`` parser of the same table: its
+    namespace, or its help, or its usage, error and exit, is the outcome."""
+
+    def parse_args(self, argv: Sequence[str] | None = None):
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _parse_table(argv)
+        return _argparse_parser().parse_args(argv) if args is None else args
+
+
+def _parse_table(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a line ``Parser`` reads itself, or else None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = COMMANDS[argv[0]][1]
+    values = {name: default for name, _, _, default, _ in options}
+    values["command"] = argv[0]
+    kinds = {"--" + name: (name, kind, choices) for name, kind, choices, _, _ in options}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if option not in kinds:
+            return None
+        name, kind, choices = kinds[option]
+        if kind is bool:
+            if eq:
+                return None
+            values[name] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[name] = value
+    return SimpleNamespace(**values)
+
+
+def _argparse_parser():
+    """The ``argparse`` parser of ``COMMANDS``."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="flagslice",
         description="Schubert varieties meeting base cycles in flag domains: "
                     "enumeration, intersection points, counts, homology, verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("enumerate", "list the Schubert words meeting the cycle(s)"),
-        ("points", "list the varieties with their intersection flags"),
-        ("count", "print the number of varieties"),
-        ("homology", "print the cycle class expansion"),
-        ("verify", "run the exact-geometry cross-check suites"),
-    ):
+    for command, (text, options) in COMMANDS.items():
         # Without abbreviations, an option a command lacks cannot pass as the
         # prefix of one it has (verify --form as --format).
-        cmd = sub.add_parser(name, help=text, allow_abbrev=False)
-        if name == "verify":
-            cmd.add_argument("--samples", type=int, default=20,
-                             help="sampling trials per cell (escalates x5 before failing)")
-            cmd.add_argument("--fast", action="store_true",
-                             help="skip the randomized sampling checks")
-        else:
-            cmd.add_argument("--form", choices=forms.FORMS, help="real form")
-            cmd.add_argument("--n", type=int, help="ambient dimension (slnr, slmh)")
-            cmd.add_argument("--p", type=int, help="positive signature size (supq)")
-            cmd.add_argument("--q", type=int, help="negative signature size (supq)")
-            cmd.add_argument("--dims", help="dimension sequence, e.g. 2,4,3")
-            cmd.add_argument("--orbit", help="sign sequence, e.g. '(-+)(-+++)(-++)'")
-        cmd.add_argument("--format", choices=("json", "csv"), default="json")
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--out", help="write output to a file instead of stdout")
+        cmd = sub.add_parser(command, help=text, allow_abbrev=False)
+        for name, kind, choices, default, option_help in options:
+            if kind is bool:
+                cmd.add_argument("--" + name, action="store_true", help=option_help)
+            else:
+                cmd.add_argument("--" + name, type=kind, choices=choices, default=default,
+                                 help=option_help)
     return parser
+
+
+def build_parser() -> Parser:
+    return Parser()
 
 
 def _require(condition: bool, message: str) -> None:
@@ -129,7 +197,7 @@ def _request(args) -> forms.Request:
 def _word_row(word, length: int, dims) -> dict:
     """The row of one word; ``length`` is the request's ``forms.length``,
     the same for every word.  Nothing in the package calls it:
-    ``_row_texts`` writes the same row without building it.  It is the
+    ``tables.row_texts`` writes the same row without building it.  It is the
     reference row the tests compare those texts with, and a name
     ``perfbench/tracer.py`` wraps."""
     text = word_text(word)
@@ -144,92 +212,10 @@ def _word_row(word, length: int, dims) -> dict:
     return row
 
 
-def _row_texts(req: forms.Request, dims, rows, fmt: str,
-               fields: tuple[str, ...] | None = None) -> tuple[str, Iterator[str]]:
-    """The CSV header and the row texts of ``enumerate`` and ``points``: for
-    each word, the text ``_table`` takes for ``_word_row(word,
-    forms.length(req), dims)``, with the keys ``fields`` and ``points``
-    added for ``points``.
-
-    For ``enumerate``, ``rows`` are the words.  For ``points``, they are
-    triples: a word, the texts of its values of ``fields`` (``_dumps`` at
-    the indent of the row's keys, or ``_csv_field``) and a list of the
-    texts of its flags, at least one (their quotes doubled for CSV).  The
-    row is one join of the flags' texts, the rest joined to the first and
-    the last.
-
-    One template per request holds the keys, the indentation, the
-    request's one length and the brackets of the lists; each word fills in
-    its ``word_text``, its display (``format_word`` or ``format_blocks``)
-    and, under ``dims``, its blocks, from a text per block made once.
-    Words and displays hold only digits, spaces and parentheses, so neither
-    needs a JSON escape or CSV quotes.  ``csv.writer`` quotes a field that
-    holds a comma or a quote: a block list when the words have two letters
-    or more, and a list of flags always.
-    """
-    further = () if fields is None else (*fields, "points")
-    keys = ("blocks",) * (dims is not None) + ("display", "length", *further, "word")
-    if list(keys) != sorted(set(keys)):
-        raise AssertionError(f"the row keys {keys} are not in sorted order")
-    length = int.__repr__(forms.length(req))
-    # "\0" marks where the texts of a row go: a field's value is one, and
-    # the items of the blocks and the points are joined by sep.
-    if fmt == "json":
-        listed = "[\n        \0\n      ]"
-        slots = {"blocks": listed, "display": '"\0"', "length": length,
-                 "points": listed, "word": '"\0"'}
-        template = ",\n    {" + ",".join(
-            "\n      " + json.dumps(key) + ": " + slots.get(key, "\0")
-            for key in keys) + "\n    }"
-        sep, pad = ",\n        ", "        "  # A block at the indent of the items.
-    else:
-        quote = '"' if req.size > 1 else ""
-        slots = {"blocks": quote + "[\0]" + quote, "display": "\0",
-                 "length": length, "points": '"[\0]"', "word": "\0"}
-        template = ",".join(slots.get(key, "\0") for key in keys) + "\n"
-        sep, pad = ", ", None
-    block = cache(lambda part: _json_list(map(int.__repr__, part), pad))
-    header = ",".join(keys) + "\n"
-    compact = req.size <= 9
-    cuts = None if dims is None else [
-        slice(end - d, end) for d, end in zip(dims, prefix_sums(dims))]
-    if fields is not None:
-        head, *backs, closing, tail = template.split("\0")
-
-        def filled() -> Iterator[str]:
-            for word, values, items in rows:
-                text = word_text(word)
-                if cuts is None:
-                    cells = [format_word(word) if compact else text, *values]
-                else:
-                    parts = [word[cut] for cut in cuts]
-                    cells = [sep.join(map(block, parts)), format_blocks(parts, compact),
-                             *values]
-                items[0] = "".join([head, *chain.from_iterable(zip(cells, backs)), items[0]])
-                items[-1] = "".join((items[-1], closing, text, tail))
-                yield sep.join(items)
-        return header, filled()
-    if cuts is None:
-        head, middle, tail = template.split("\0")
-        # Past 9 letters the display is space-separated: the word text.  Each
-        # word is read once, so ``rows`` may be a one-shot iterator.
-        return header, ("".join((head, format_word(word) if compact else text, middle,
-                                 text, tail))
-                        for word in rows for text in (word_text(word),))
-    head, middle, inner, tail = template.split("\0")
-
-    def texts() -> Iterator[str]:
-        for word in rows:
-            parts = [word[cut] for cut in cuts]
-            yield "".join((head, sep.join(map(block, parts)), middle,
-                           format_blocks(parts, compact), inner, word_text(word), tail))
-    return header, texts()
-
-
 def cmd_enumerate(args) -> int:
     req = _request(args)
-    header, texts = _row_texts(req, req.dims, forms.words(req), args.format)
-    _write(args, _table("enumerate", _config_echo(args), args.format, header, texts))
+    header, texts = tables.row_texts(req, req.dims, forms.words(req), args.format)
+    _write(args, tables.table("enumerate", _config_echo(args), args.format, header, texts))
     return 0
 
 
@@ -246,29 +232,9 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _point_texts(req: forms.Request, fmt: str) -> tuple[str, Iterator[str]]:
-    """The CSV header and the row texts of ``points``: the word rows of
-    ``_row_texts`` with each row's further fields and its flags under
-    ``points``, all from ``forms.points``, whose rows ``verify``
-    certifies."""
-    dims, fields, points = forms.points(req)
-    memo = {}
-    # A value sits at the indent of the row's keys, a flag at its items'.
-    pad, flag_pad = ("      ", "        ") if fmt == "json" else (None, None)
-
-    def rows() -> Iterator[tuple]:
-        for word, found, values in points:
-            values = [_dumps(value, pad) for value in values]
-            items = [_flag_text(flag, flag_pad, memo) for flag in found]
-            if pad is None:
-                values, items = [*map(_csv_field, values)], [t.replace('"', '""') for t in items]
-            yield word, values, items
-    return _row_texts(req, dims, rows(), fmt, fields)
-
-
 def cmd_points(args) -> int:
-    header, texts = _point_texts(_request(args), args.format)
-    _write(args, _table("points", _config_echo(args), args.format, header, texts))
+    header, texts = tables.point_texts(_request(args), args.format)
+    _write(args, tables.table("points", _config_echo(args), args.format, header, texts))
     return 0
 
 
@@ -286,7 +252,7 @@ def cmd_homology(args) -> int:
         return 0
     # The class texts hold only digits and spaces, so each is its JSON text
     # in quotes: the list is spliced in at the indent of the row's keys
-    # where "\0" stands, as ``_flag_text`` does for columns.
+    # where "\0" stands, as ``tables.flag_text`` does for columns.
     classes, row["classes"] = row["classes"], "\0"
     head, tail = render(payload, "json").split('"\\u0000"')
     listed = _json_list(['"%s"' % text for text in classes], "      ")
@@ -327,54 +293,14 @@ def _config_echo(args) -> dict:
     return echo
 
 
-def _dumps(value, pad: str | None) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` as it stands in a
-    payload on a line at ``pad``; for ``pad`` None, compact."""
-    if pad is None:
-        return json.dumps(value, sort_keys=True)
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
-
-
 def _json_list(items: Iterable[str], pad: str | None) -> str:
-    """``_dumps`` of a nonempty list whose items are given as their
-    ``_dumps`` texts at ``pad + "  "`` (or compact, for ``pad`` None)."""
+    """``json.dumps(items, sort_keys=True, indent=2)`` of a nonempty list,
+    as it stands on a line at ``pad``, with its items given as their texts
+    at ``pad + "  "``; for ``pad`` None, compact."""
     if pad is None:
         return "[" + ", ".join(items) + "]"
     inner = "\n" + pad + "  "
     return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
-
-
-def _csv_field(text: str) -> str:
-    """``text``, a JSON text, which holds no line break, as ``csv.writer``
-    writes it: in quotes, its quotes doubled, if it holds a comma or quote."""
-    return '"%s"' % text.replace('"', '""') if "," in text or '"' in text else text
-
-
-def _flag_text(flag, pad: str | None, memo: dict) -> str:
-    """``_dumps(flag.to_json(), pad)``, as one join of column texts.
-    ``memo`` keeps, by ``(pad, n, dims)``, the text around the columns and
-    a dict of column texts by ``(zcol, den)``, so each distinct column is
-    written once.  The keys are exact: a flag's entries and denominators
-    are ints, never bools or floats."""
-    frame = memo.get((pad, flag.n, flag.dims))
-    if frame is None:
-        # Each "\0" of this text, escaped, stands for a column's text.
-        frame = memo[(pad, flag.n, flag.dims)] = (
-            *_dumps({"columns": ["\0", "\0"], "dims": flag.dims, "n": flag.n},
-                    pad).split('"\\u0000"'),
-            None if pad is None else pad + "    ", {})
-    head, sep, tail, column_pad, columns = frame
-    return head + sep.join([columns.get(key) or _column_text(key, column_pad, columns)
-                            for key in zip(flag.zcols, flag.dens)]) + tail
-
-
-def _column_text(key: tuple, pad: str | None, columns: dict) -> str:
-    """``_dumps`` of one flag column, its entries as quads, at ``pad``."""
-    zcol, den = key
-    inner = None if pad is None else pad + "  "
-    text = columns[key] = _json_list(
-        [_json_list(map(int.__repr__, flags._quad(a, b, den)), inner) for a, b in zcol], pad)
-    return text
 
 
 def render(payload: dict, fmt: str) -> str:
@@ -396,50 +322,6 @@ def render(payload: dict, fmt: str) -> str:
             [json.dumps(v, sort_keys=True) if isinstance(v, (list, dict)) else v
              for v in map(row.get, keys, repeat(""))] for row in rows)
     return buffer.getvalue()
-
-
-# Characters gathered before each write.
-CHUNK_CHARS = 1 << 16
-
-
-def _table(command: str, config: dict, fmt: str, header: str,
-           texts: Iterator[str]) -> Iterator[str]:
-    """The text ``render`` gives for a ``command`` payload whose rows are
-    given as the texts of ``_row_texts``, in chunks, pulling each text only
-    when it is written.  A JSON row text is the row at the indent of the
-    rows after its separator ``",\\n    "``; the first row's separator is
-    ``"[\\n    "``, so its first character is swapped.  A CSV row text is
-    its line, under ``header``.
-
-    In both formats a chunk ends with the first row that brings it to
-    ``CHUNK_CHARS`` characters, so no chunk but the last holds more than
-    ``CHUNK_CHARS`` plus one row's text, and no chunk is empty.  A table
-    without rows is the JSON payload with ``"rows": []``, or no CSV text.
-    """
-    first = next(texts, None)
-    if fmt == "json":
-        head = ('{\n  "command": ' + json.dumps(command) + ',\n  "config": '
-                + _dumps(config, "  ") + ',\n  "rows": ')
-        if first is None:
-            yield head + "[]\n}\n"
-            return
-        out, first, tail = [head], "[" + first[1:], "\n  ]\n}\n"
-    elif first is None:
-        return
-    else:
-        out, tail = [header], ""
-    size = sum(map(len, out))
-    for text in chain((first,), texts):
-        out.append(text)
-        size += len(text)
-        if size >= CHUNK_CHARS:
-            yield "".join(out)
-            out.clear()
-            size = 0
-    out.append(tail)
-    text = "".join(out)
-    if text:
-        yield text
 
 
 def _write(args, chunks: Iterator[str]) -> None:

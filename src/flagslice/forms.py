@@ -169,24 +169,46 @@ def count(req: Request) -> int:
 # about 1 s and 360 MB of JSON.
 MAX_WORDS = 1_000_000
 MAX_POINTS = 32_000
+# A word of n letters is a tuple of n ints and prints as about 9 bytes per
+# letter, and a flag prints about 110 bytes of JSON per entry of its n x n
+# matrix, so few but long words or flags pass the budgets above and still
+# print without bound: enumerate supq --p 2000 --q 1 (2000 words of 2001
+# letters) prints 36 MB, points supq --p 150 --q 1 (300 flags of 151 x 151)
+# 741 MB.  So the letters of the words and the entries of the flags
+# have budgets too: MAX_LETTERS, a million words of 16 letters, allows
+# enumerate supq --p 3999 --q 1 (1.2 s, a peak of 137 MB, 151 MB printed),
+# and MAX_ENTRIES allows the 30240 flags of points slnr --n 10, about 360 MB
+# of JSON.
+MAX_LETTERS = 16_000_000
+MAX_ENTRIES = 3_200_000
 
 
 def check_size(req: Request, points: bool = False) -> None:
     """Raise ValueError when the words of a request, or their intersection
-    points when ``points`` is set, exceed their budget."""
+    points when ``points`` is set, exceed their budgets: their number, and
+    the letters of the words or the entries of the flags."""
     total = closed_count(req)
     # slnr points of partial flags are refused by ``points`` with its own message.
     if total is None or points and req.form == "slnr" and not req.complete:
         return
+    n = req.size
     if points:
         per_word = (2 ** (req.n // 2) if req.form == "slnr"
                     else 2 ** req.q if req.form == "supq" else 1)
-        if total * per_word > MAX_POINTS:
-            raise ValueError(f"{total * per_word} intersection points ({total} words, "
+        found = total * per_word
+        if found > MAX_POINTS:
+            raise ValueError(f"{found} intersection points ({total} words, "
                              f"{per_word} each) exceed the limit of {MAX_POINTS} "
                              f"per request")
+        if found * n * n > MAX_ENTRIES:
+            raise ValueError(f"{found} intersection points of {n} x {n} entries "
+                             f"({found * n * n} in all) exceed the limit of "
+                             f"{MAX_ENTRIES} entries per request")
     elif total > MAX_WORDS:
         raise ValueError(f"{total} words exceed the limit of {MAX_WORDS} per request")
+    elif total * n > MAX_LETTERS:
+        raise ValueError(f"{total} words of {n} letters ({total * n} in all) exceed the "
+                         f"limit of {MAX_LETTERS} letters per request")
 
 
 def points(req: Request) -> tuple[Dims | None, tuple[str, ...],
