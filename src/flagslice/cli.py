@@ -21,8 +21,8 @@ line, and a request for help, goes to the ``argparse`` parser built from
 the same table, which is imported only then and prints the help, or the
 usage and the error.
 ``points`` executes ``flags`` and its form's module, and ``gaussian`` only
-for slmh (the public ``FlagMatrix`` constructor's rank re-check); only
-``verify`` executes ``geometry``.
+for slmh (``forms.points``'s one rank check per request); only ``verify``
+executes ``geometry``.
 """
 
 from __future__ import annotations
@@ -220,10 +220,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_count(args) -> int:
-    total = forms.count(_request(args))
-    # The interpreter refuses to print an int past this many digits (0: no
-    # limit, as before Python 3.10.7).
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    total, limit = forms.count(_request(args)), forms.printable_digits()
     _require(not limit or total < 10 ** limit,
              f"the count has more than {limit} digits, past Python's limit for "
              "printing an integer")

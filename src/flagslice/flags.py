@@ -3,15 +3,15 @@ The flag container: ``FlagMatrix``, a (partial) flag over Q(i) stored as
 Z[i] columns, with the helpers that build and write its columns.
 
 A FlagMatrix keeps each column once, as a Z[i] vector with one positive
-denominator.  The intersection points of every form are built from unit
-vectors through ``FlagMatrix.trusted`` and written with ``to_json``,
-neither of which needs ``gaussian``.  The slmh points of a request reorder
-one set of columns, which ``forms.points`` checks with one ``gaussian.rank``
-call per request.  Apart from that check, ``gaussian`` (and with it
-``fractions``) is executed only by the paths that cross into Q(i): the
-public constructor with its rank re-check, ``columns``, ``from_columns``,
-``canonical_key`` and ``from_json``.  The membership tests of the oracle
-live in ``geometry``.
+denominator, and has one constructor, which takes those columns.  The
+intersection points of every form are built from unit vectors through it
+and written with ``to_json``, neither of which needs ``gaussian``.  The slmh
+points of a request reorder one set of columns, which ``forms.points``
+checks with one ``gaussian.rank`` call per request.  Apart from that check,
+``gaussian`` (and with it ``fractions``) is executed only by the paths that
+cross into Q(i): ``from_columns`` with its rank check, ``from_json``,
+``columns`` and ``canonical_key``.  The membership tests of the oracle live
+in ``geometry``.
 
 >>> unit_vector(3, 1)
 ((0, 0), (1, 0), (0, 0))
@@ -45,30 +45,18 @@ class FlagMatrix:
     zcols: tuple[gaussian.ZVector, ...]
     dens: tuple[int, ...]
 
-    def __init__(self, n: int, dims: Sequence[int], columns: Sequence[Sequence]):
-        cleared = [gaussian.clear(c) for c in columns]
-        self._fill(n, dims, tuple(z for z, _ in cleared), tuple(d for _, d in cleared))
-        # Through the module attribute, so a wrapper put on gaussian.rank sees the call.
-        if gaussian.rank(columns) != n:
-            raise ValueError("flag columns are linearly dependent")
-
-    @classmethod
-    def trusted(cls, n: int, dims: Sequence[int], zcols: Sequence[gaussian.ZVector],
-                dens: Sequence[int] | None = None) -> "FlagMatrix":
-        """A flag from Z[i] columns the caller has built independent, such as
-        coordinate flags, cell samples and constructed intersection points.
-        Shapes are checked; the rank is not re-checked."""
-        flag = object.__new__(cls)
-        flag._fill(n, dims, tuple(zcols), tuple(dens) if dens else (1,) * n)
-        return flag
-
-    def _fill(self, n, dims, zcols, dens) -> None:
+    def __init__(self, n: int, dims: Sequence[int], zcols: Sequence[gaussian.ZVector],
+                 dens: Sequence[int] | None = None):
+        """A flag from Z[i] columns built independent (coordinate flags, cell
+        samples, intersection points): shapes are checked, the rank is not."""
+        zcols = tuple(zcols)
         if len(zcols) != n or any(len(c) != n for c in zcols):
             raise ValueError("flag needs n independent columns of length n")
         dims = tuple(dims)
         if (not dims or dims[-1] != n or dims[0] < 1
                 or any(a >= b for a, b in zip(dims, dims[1:]))):
             raise ValueError(f"bad cumulative dimensions {dims!r}")
+        dens = tuple(dens) if dens else (1,) * n
         for name, value in (("n", n), ("dims", dims), ("zcols", zcols), ("dens", dens)):
             object.__setattr__(self, name, value)
 
@@ -95,8 +83,15 @@ class FlagMatrix:
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], dims: Sequence[int] | None = None,
                      ) -> "FlagMatrix":
+        """The flag of columns over Q(i); ValueError if they are dependent."""
         cols = tuple(gaussian.gq_vector(c) for c in columns)
-        return cls(len(cols), range(1, len(cols) + 1) if dims is None else dims, cols)
+        n, cleared = len(cols), [gaussian.clear(c) for c in cols]
+        flag = cls(n, range(1, n + 1) if dims is None else dims,
+                   [z for z, _ in cleared], [den for _, den in cleared])
+        # Through the module attribute, so a wrapper put on gaussian.rank sees the call.
+        if gaussian.rank(cols) != n:
+            raise ValueError("flag columns are linearly dependent")
+        return flag
 
     @classmethod
     def coordinate_flag(cls, word: Sequence[int], dims: Sequence[int] | None = None,
@@ -104,16 +99,12 @@ class FlagMatrix:
         """The flag spanned by standard basis vectors in the word's order."""
         word = check_word(word)
         n = len(word)
-        return cls.trusted(n, range(1, n + 1) if dims is None else dims,
-                           [unit_vector(n, v - 1) for v in word])
+        return cls(n, range(1, n + 1) if dims is None else dims,
+                   [unit_vector(n, v - 1) for v in word])
 
     def canonical_key(self):
         """Hashable key identifying the flag (column-span equivalence)."""
         return (self.dims, tuple(gaussian.zcanonical(self.zcols[:d]) for d in self.dims))
-
-    def same_flag(self, other: "FlagMatrix") -> bool:
-        return (self.n == other.n and self.dims == other.dims
-                and self.canonical_key() == other.canonical_key())
 
     def to_json(self) -> dict:
         """Entries as lowest-terms quads [re_num, re_den, im_num, im_den]."""
@@ -124,8 +115,10 @@ class FlagMatrix:
     @classmethod
     def from_json(cls, data: dict) -> "FlagMatrix":
         from_quad = gaussian.GaussianRational.from_quad
-        cols = tuple(tuple(from_quad(q) for q in col) for col in data["columns"])
-        return cls(data["n"], tuple(data["dims"]), cols)
+        cols = [[from_quad(q) for q in col] for col in data["columns"]]
+        if len(cols) != data["n"]:
+            raise ValueError("flag needs n independent columns of length n")
+        return cls.from_columns(cols, data["dims"])
 
 
 def _quad(a: int, b: int, den: int) -> list[int]:

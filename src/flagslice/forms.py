@@ -9,6 +9,8 @@ same words, counts, lengths and rows through them.
 
 from __future__ import annotations
 
+import sys
+from itertools import accumulate
 from math import comb
 from typing import Iterator, NamedTuple
 
@@ -128,7 +130,8 @@ def length(req: Request) -> int:
 
 def closed_count(req: Request) -> int | None:
     """The number of words of a request, from its closed form; None for
-    asymmetric ``dims`` and supq orbits, which have none.
+    asymmetric ``dims`` and supq orbits, which have none.  A count too long
+    to print is given as 10^``printable_digits()``, once the product gets there.
 
     - slnr and slmh, complete flags or symmetric ``dims`` with core parts
       c_j: block pair j takes c_j disjoint pairs of neighbours from the
@@ -136,25 +139,34 @@ def closed_count(req: Request) -> int | None:
       is binom(r_j - c_j, c_j) ways, pairs on a path of r_j letters; for
       slmh binom(r_j / 2, c_j), over the aligned pairs (2v-1, 2v).  Complete
       flags give (n-1)(n-3)... and (n/2)!.
-    - supq without an orbit: ``supq.count_i_pq(p, q)``.
+    - supq without an orbit: ``supq.count_i_pq(p, q)``, q factors of (n-1)(n-3)...
     """
-    if req.form == "supq":
-        return supq.count_i_pq(req.p, req.q) if req.orbit is None else None
     cls = classify_symmetry(req.flag_dims)
-    if not cls.is_symmetric:
+    if req.orbit is not None or not cls.is_symmetric:
         return None
-    total, left = 1, req.n
-    for c in cls.core:
-        total *= comb(left - c, c) if req.form == "slnr" else comb(left // 2, c)
-        left -= 2 * c
+    if req.form == "supq":
+        factors = range(req.size - 1, 0, -2)[:req.q]
+    else:
+        lefts = accumulate(cls.core, lambda left, c: left - 2 * c, initial=req.n)
+        factors = (comb(left - c, c) if req.form == "slnr" else comb(left // 2, c)
+                   for left, c in zip(lefts, cls.core))
+    total, digits = 1, printable_digits()
+    for factor in factors:
+        total *= factor
+        if digits and total.bit_length() > 3 * digits and total >= 10 ** digits:  # 8^d < 10^d
+            return 10 ** digits
     return total
 
 
 def count(req: Request) -> int:
-    """The number of words: the closed form where there is one, the length
-    of the enumeration otherwise."""
+    """The number of words: the closed form where there is one, else the enumeration's."""
     total = closed_count(req)
     return len(words(req)) if total is None else total
+
+
+def printable_digits() -> int:
+    """The most digits Python prints of an int (0: no limit, as before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 # The command line writes each row as it is built, but builds the word list
@@ -187,25 +199,27 @@ def check_size(req: Request, points: bool = False) -> None:
     """Raise ValueError when the words of a request, or their intersection
     points when ``points`` is set, exceed their budgets: their number, and
     the letters of the words or the entries of the flags."""
-    total = closed_count(req)
+    total, digits = closed_count(req), printable_digits()
     # slnr points of partial flags are refused by ``points`` with its own message.
     if total is None or points and req.form == "slnr" and not req.complete:
         return
+    # A number past the cap is a lower bound (the count stops there), too long to print.
+    text = lambda v: str(v) if not digits or v < 10 ** digits else f"at least 10^{digits}"
     n = req.size
     if points:
         per_word = (2 ** (req.n // 2) if req.form == "slnr"
                     else 2 ** req.q if req.form == "supq" else 1)
         found = total * per_word
         if found > MAX_POINTS:
-            raise ValueError(f"{found} intersection points ({total} words, "
-                             f"{per_word} each) exceed the limit of {MAX_POINTS} "
+            raise ValueError(f"{text(found)} intersection points ({text(total)} words, "
+                             f"{text(per_word)} each) exceed the limit of {MAX_POINTS} "
                              f"per request")
         if found * n * n > MAX_ENTRIES:
             raise ValueError(f"{found} intersection points of {n} x {n} entries "
                              f"({found * n * n} in all) exceed the limit of "
                              f"{MAX_ENTRIES} entries per request")
     elif total > MAX_WORDS:
-        raise ValueError(f"{total} words exceed the limit of {MAX_WORDS} per request")
+        raise ValueError(f"{text(total)} words exceed the limit of {MAX_WORDS} per request")
     elif total * n > MAX_LETTERS:
         raise ValueError(f"{total} words of {n} letters ({total * n} in all) exceed the "
                          f"limit of {MAX_LETTERS} letters per request")

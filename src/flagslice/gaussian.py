@@ -1,13 +1,13 @@
 """
-Exact arithmetic over the Gaussian rationals Q(i), and one fraction-free
-linear-algebra kernel over the Gaussian integers Z[i].
+The Gaussian rationals Q(i) at the boundary, and the one exact arithmetic:
+a fraction-free linear-algebra kernel over the Gaussian integers Z[i].
 
-`GaussianRational` (a pair of `fractions.Fraction`) is the scalar type of
-the public API and of the JSON wire format.  The kernel never touches it: a
-Z[i] vector is a tuple of integer pairs (re, im), and ``clear`` turns a
-vector over Q(i) into a Z[i] vector and one positive denominator.  Scaling a
-vector by a nonzero number keeps the span it generates, so ranks, pivot rows
-and spans can all be read from cleared vectors.
+`GaussianRational` (a pair of `fractions.Fraction` that does no arithmetic)
+is the scalar type of the public API and of the JSON wire format.  The
+kernel never touches it: a Z[i] vector is a tuple of integer pairs (re, im),
+and ``clear`` turns a vector over Q(i) into a Z[i] vector and one positive
+denominator.  Scaling a vector by a nonzero number keeps the span it
+generates, so ranks, pivot rows and spans can all be read from cleared vectors.
 
 The kernel is one-step fraction-free Gauss-Jordan elimination (Bareiss 1968,
 Math. Comp. 22) and its congruence variant for Hermitian forms.  Every
@@ -27,7 +27,8 @@ from typing import Iterable, Sequence
 
 
 class GaussianRational:
-    """A complex number re + im*i with rational real and imaginary parts."""
+    """A complex number re + im*i with rational real and imaginary parts: a
+    value at the API and JSON boundary, with no arithmetic of its own."""
 
     __slots__ = ("re", "im")
 
@@ -38,13 +39,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
-    # -- construction helpers ------------------------------------------------
-
     @classmethod
     def of(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        return cls(value)
+        return value if isinstance(value, GaussianRational) else cls(value)
 
     @classmethod
     def from_quad(cls, quad: Sequence[int]) -> "GaussianRational":
@@ -57,47 +54,6 @@ class GaussianRational:
         return [self.re.numerator, self.re.denominator,
                 self.im.numerator, self.im.denominator]
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return GaussianRational.of(other) - self
-
-    def __mul__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re * other.re - self.im * other.im,
-                                self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = GaussianRational.of(other)
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational((self.re * other.re + self.im * other.im) / norm,
-                                (self.im * other.re - self.re * other.im) / norm)
-
-    def __rtruediv__(self, other):
-        return GaussianRational.of(other) / self
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    # -- comparisons and misc ------------------------------------------------
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.im == 0 and self.re == other
@@ -108,21 +64,11 @@ class GaussianRational:
     def __hash__(self):
         return hash((self.re, self.im))
 
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __repr__(self):
-        if not self.im:
-            return f"GQ({self.re})"
-        return f"GQ({self.re}, {self.im})"
+        return f"GQ({self.re}, {self.im})" if self.im else f"GQ({self.re})"
 
 
 GQ = GaussianRational
-ZERO = GQ(0)
-ONE = GQ(1)
 I = GQ(0, 1)
 
 

@@ -15,7 +15,7 @@ A FlagMatrix keeps each column once, as a Z[i] vector with one positive
 denominator.  Scaling a column by a positive rational changes no subspace of
 the flag, no orientation sign and no inertia of a Hermitian form, so every
 test here runs on the Z[i] columns alone, through the kernel in ``gaussian``.
-GaussianRational values appear only at the API and JSON boundary.
+GaussianRational values, which do no arithmetic, appear only at the boundary.
 
 Everything here is exact; no floating point is ever used.
 """
@@ -302,7 +302,7 @@ def random_cell_sample(word: Sequence[int], reference: FlagMatrix, seed: int,
                 im[r] += x * f + y * e
         cleared.append(lowest_terms(tuple(zip(re, im)), den * ref_den))
     zcols, dens = zip(*cleared)
-    return FlagMatrix.trusted(n, dims if dims is not None else range(1, n + 1), zcols, dens)
+    return FlagMatrix(n, dims if dims is not None else range(1, n + 1), zcols, dens)
 
 
 def orientation_class(flag: FlagMatrix) -> int:
@@ -338,7 +338,7 @@ def iwasawa_reference_h(m: int) -> FlagMatrix:
     j(e_i) = -e_(m+i): the quaternionic reference flag on C^(2m)."""
     n = 2 * m
     cols = [v for i in range(m) for v in (unit_vector(n, i), unit_vector(n, m + i, (-1, 0)))]
-    return FlagMatrix.trusted(n, range(1, n + 1), cols)
+    return FlagMatrix(n, range(1, n + 1), cols)
 
 
 def iwasawa_reference_su(p: int, q: int) -> FlagMatrix:
@@ -355,4 +355,4 @@ def iwasawa_reference_su(p: int, q: int) -> FlagMatrix:
 
     cols = [pair(i, 1) for i in range(1, q + 1)]
     cols += [unit_vector(n, i - 1) for i in range(2 * q + 1, n + 1)]
-    return FlagMatrix.trusted(n, range(1, n + 1), cols + [pair(i, -1) for i in range(q, 0, -1)])
+    return FlagMatrix(n, range(1, n + 1), cols + [pair(i, -1) for i in range(q, 0, -1)])

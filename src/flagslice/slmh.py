@@ -301,13 +301,13 @@ def intersection_point_measurable_h(word: Sequence[int],
     the head odd and the tail one more; s holds the heads deflated.  A word
     failing that, or one whose s is not a permutation, raises ValueError.
     So the columns are a reordering of ``quaternion_pair_columns(range(1,
-    m + 1))``, which ``forms.points`` rank-checks once per request; the flag
-    is built by ``trusted``."""
+    m + 1))``, which ``forms.points`` rank-checks once per request; the
+    ``FlagMatrix`` constructor does not check the rank again."""
     n, ends, pairs = _point_plan(tuple(dims))
     if len(word) != n or any(word[t] != word[h] + 1 or not word[h] & 1 for h, t in pairs):
         raise ValueError(f"word fails the generalized strictly pairing condition: {word!r}")
     s = check_word([(word[h] + 1) >> 1 for h, _ in pairs])
-    return flags.FlagMatrix.trusted(n, ends, quaternion_pair_columns(s))
+    return flags.FlagMatrix(n, ends, quaternion_pair_columns(s))
 
 
 def enumerate_nonmeasurable_h(f: Sequence[int]) -> list[Word]:

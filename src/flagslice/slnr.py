@@ -154,7 +154,7 @@ def intersection_points_gb(word: Sequence[int]) -> list[flags.FlagMatrix]:
             col = list(flags.unit_vector(n, k - 1))
             col[l - 1] = (0, sign)
             cols.append(tuple(col))
-        points.append(flags.FlagMatrix.trusted(n, range(1, n + 1), cols + tail))
+        points.append(flags.FlagMatrix(n, range(1, n + 1), cols + tail))
     return points
 
 
@@ -365,7 +365,7 @@ def projected_cycle_points(word: Sequence[int], dims: Sequence[int],
     deltas = prefix_sums(check_dims(dims))
     seen = {}
     for point in intersection_points_gb(lifted):
-        partial = flags.FlagMatrix.trusted(point.n, deltas, point.zcols, point.dens)
+        partial = flags.FlagMatrix(point.n, deltas, point.zcols, point.dens)
         seen.setdefault(partial.canonical_key(), partial)
     return list(seen.values())
 

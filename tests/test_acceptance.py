@@ -180,7 +180,7 @@ def test_certified_table_extras():
         assert inversion_length(word) == codim
         lifted = slnr.canonical_rearrangement(word, dims)
         point = slnr.intersection_points_gb(lifted)[0]
-        partial = FlagMatrix(8, deltas, point.columns)
+        partial = FlagMatrix.from_columns(point.columns, deltas)
         assert is_isotropic_flag(partial, bilinear_b())
         assert is_tau_generic(partial)
         assert schubert_cell_membership(partial, word, reference)
@@ -243,7 +243,7 @@ def test_certified_three_three_two_extras():
         assert slnr.project_to_coarse(model_word, model) == word
         lifted = slnr.canonical_rearrangement(model_word, model.dhat)
         point = slnr.intersection_points_gb(lifted)[0]
-        partial = FlagMatrix(8, prefix_sums(f), point.columns)
+        partial = FlagMatrix.from_columns(point.columns, prefix_sums(f))
         assert is_isotropic_flag(partial, bilinear_b())
         assert is_tau_generic(partial)
         assert schubert_cell_membership(partial, word, reference)

@@ -140,8 +140,10 @@ def test_count_past_the_printable_digits_exits_2(capsys, fmt):
     count = json.loads(out)["rows"][0]["count"] if fmt == "json" else \
         int(out.splitlines()[1])
     assert count == double_factorial_descending(2847) and len(str(count)) == 4300
-    for form, n in (("slnr", "2848"), ("slmh", "3118")):
+    for form, n in (("slnr", "2848"), ("slmh", "3118"), ("slnr", "100000")):
+        started = time.perf_counter()
         assert cli.main(["count", "--form", form, "--n", n, "--format", fmt]) == 2
+        assert time.perf_counter() - started < 0.2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: the count has more than 4300 digits, past "
@@ -166,6 +168,30 @@ def test_points_counts(capsys):
                      "--dims", "5,6", "--orbit", "(--)(-)(++)(-)(++++)(+)"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("request_args", [
+    ["--form", "slnr", "--n", "6"],
+    ["--form", "slnr", "--n", "5"],
+    ["--form", "slmh", "--n", "6"],
+    ["--form", "slmh", "--n", "8", "--dims", "2,1,2,1,2"],
+    ["--form", "supq", "--p", "3", "--q", "2"],
+    ["--form", "supq", "--p", "3", "--q", "2", "--dims", "2,3", "--orbit=(-+)(-++)"],
+])
+def test_every_printed_point_is_built_by_the_one_constructor(monkeypatch, capsys,
+                                                            request_args):
+    # The flags built through FlagMatrix.__init__, in order, are the printed points.
+    built, init = [], geometry.FlagMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(geometry.FlagMatrix, "__init__", counted)
+    assert cli.main(["points", *request_args]) == 0
+    printed = [point for row in json.loads(capsys.readouterr().out)["rows"]
+               for point in row["points"]]
+    assert printed and [flag.to_json() for flag in built] == printed
 
 
 def test_homology_command(capsys):
@@ -211,7 +237,7 @@ JSON_SCALARS = (st.none() | st.booleans() | JSON_TEXT
 # over different denominators.
 ENTRIES = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 FLAGS = st.integers(min_value=1, max_value=3).flatmap(lambda n: st.builds(
-    geometry.FlagMatrix.trusted, st.just(n),
+    geometry.FlagMatrix, st.just(n),
     st.sets(st.integers(1, n)).map(lambda cuts: sorted(cuts | {n})),
     st.lists(st.tuples(*[ENTRIES] * n), min_size=n, max_size=n),
     st.lists(st.integers(1, 4), min_size=n, max_size=n)))
@@ -510,6 +536,11 @@ def test_streamed_requests_stay_near_the_interpreter_peak():
     ["enumerate", "--form", "slnr", "--n", "100000", "--dims", "1,99998,1"],
     ["homology", "--form", "supq", "--p", "100000", "--q", "1"],
     ["points", "--form", "supq", "--p", "150", "--q", "1"],
+    # Counts too long to print: compared with the budget as the product grows.
+    ["enumerate", "--form", "slnr", "--n", "100000"],
+    ["points", "--form", "slmh", "--n", "100000"],
+    ["homology", "--form", "slmh", "--n", "40000"],
+    ["enumerate", "--form", "supq", "--p", "60000", "--q", "40000"],
 ])
 def test_oversized_requests_exit_2_before_enumerating(monkeypatch, capsys, argv):
     def refuse(*args, **kwargs):
@@ -877,8 +908,8 @@ def test_word_commands_execute_no_geometry(tmp_path, form):
                                   ["--form", "supq", "--p", "3", "--q", "2", "--dims", "2,3",
                                    "--orbit=(-+)(-++)"]])
 def test_points_executes_the_flags_but_not_the_oracle(tmp_path, form):
-    # slnr and supq points are built from unit vectors through
-    # FlagMatrix.trusted, so neither Q(i) nor the oracle is needed.
+    # slnr and supq points are built from unit vectors through the
+    # FlagMatrix constructor, so neither Q(i) nor the oracle is needed.
     executed = modules_executed(tmp_path, ["points", *form])
     assert {"flagslice.flags", "flagslice.tables", f"flagslice.{form[1]}"} <= executed
     assert not executed & {"flagslice.geometry", "flagslice.gaussian", "fractions",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flagslice.gaussian import (GQ, I, ONE, ZERO, GaussianRational, _divide_exact,
+from flagslice.gaussian import (GQ, I, GaussianRational, _divide_exact,
                                 det, eliminate, gmul, gq_vector, inertia, pivot_rows,
                                 rank, solve_columns, subspace_canonical, zdet)
 from flagslice.geometry import FlagMatrix, signature
@@ -20,39 +20,28 @@ scalars = st.builds(
 )
 
 
-def test_basic_arithmetic():
-    assert I * I == GQ(-1)
-    assert (GQ(1, 2) + GQ(2, -2)) == GQ(3)
-    assert GQ(3, 4) * GQ(3, -4) == GQ(25)
-    assert GQ(1, 1) / GQ(1, -1) == I
-    assert -GQ(2, -3) == GQ(-2, 3)
-    assert GQ(Fraction(1, 2)).re == Fraction(1, 2)
+# GaussianRational does no arithmetic; the references below compute over
+# (re, im) pairs of Fractions.
+def _pair(x):
+    x = GQ.of(x)
+    return x.re, x.im
 
 
-def test_conjugate_and_reality():
-    x = GQ(Fraction(2, 3), Fraction(-1, 5))
-    assert x.conjugate().im == Fraction(1, 5)
-    assert (x * x.conjugate()).is_real()
-    assert not x.is_real()
+def _mul(x, y):
+    (a, b), (c, d) = _pair(x), _pair(y)
+    return GQ(a * c - b * d, a * d + b * c)
+
+
+def _sum(values):
+    pairs = [_pair(x) for x in values]
+    return GQ(sum(a for a, _ in pairs), sum(b for _, b in pairs))
 
 
 def test_quad_roundtrip():
     x = GQ(Fraction(-7, 3), Fraction(5, 2))
     assert GaussianRational.from_quad(x.to_quad()) == x
     assert x.to_quad() == [-7, 3, 5, 2]
-
-
-def test_zero_division_raises():
-    with pytest.raises(ZeroDivisionError):
-        ONE / ZERO
-
-
-@given(scalars, scalars, scalars)
-def test_field_laws_sampled(a, b, c):
-    assert a * (b + c) == a * b + a * c
-    assert (a + b) * c == a * c + b * c
-    if b:
-        assert (a / b) * b == a
+    assert GQ(Fraction(1, 2)).re == Fraction(1, 2)
 
 
 def test_rank_known_values():
@@ -80,24 +69,23 @@ def test_rank_transpose_invariant(rows):
 def test_rank_invariant_under_row_operation(rows, factor):
     vecs = [gq_vector(r) for r in rows]
     mixed = list(vecs)
-    mixed[0] = tuple(a + GQ(factor) * b for a, b in zip(vecs[0], vecs[-1]))
+    mixed[0] = tuple(_sum((a, _mul(factor, b))) for a, b in zip(vecs[0], vecs[-1]))
     if len(vecs) > 1:
         assert rank(mixed) == rank(vecs)
 
 
 def test_det_known_values():
-    cols = [gq_vector((I, 1)), gq_vector((-I, 1))]
+    cols = [gq_vector((I, 1)), gq_vector((GQ(0, -1), 1))]
     assert det(cols) == GQ(0, 2)
     singular = [gq_vector((1, 2)), gq_vector((2, 4))]
-    assert det(singular) == ZERO
+    assert det(singular) == 0
 
 
 def test_solve_columns_reconstructs():
     basis = [gq_vector(c) for c in ((1, 0, 1), (0, 1, 1), (0, 0, 2))]
     target = [gq_vector((3, 5, 10))]
     coeffs = solve_columns(basis, target)[0]
-    rebuilt = [sum((c * col[r] for c, col in zip(coeffs, basis)), ZERO)
-               for r in range(3)]
+    rebuilt = [_sum(_mul(c, col[r]) for c, col in zip(coeffs, basis)) for r in range(3)]
     assert tuple(rebuilt) == target[0]
 
 
@@ -135,14 +123,14 @@ def square_matrices(max_n):
 
 def _leibniz(columns):
     n = len(columns)
-    total = ZERO
+    terms = []
     for perm in permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         term = GQ(-1 if inversions % 2 else 1)
         for c, r in enumerate(perm):
-            term = term * columns[c][r]
-        total = total + term
-    return total
+            term = _mul(term, columns[c][r])
+        terms.append(term)
+    return _sum(terms)
 
 
 @given(square_matrices(4))
@@ -306,21 +294,21 @@ def test_kernel_matches_the_complex_update_kernel_in_solve_shape(case):
                          min_size=len(a), max_size=len(a)))))
 def test_det_is_multiplicative(pair):
     a, b = pair
-    product = [tuple(sum((b_col[k] * a[k][r] for k in range(len(a))), ZERO)
+    product = [tuple(_sum(_mul(b_col[k], a[k][r]) for k in range(len(a)))
                      for r in range(len(a))) for b_col in b]
-    assert det(product) == det(a) * det(b)
+    assert det(product) == _mul(det(a), det(b))
 
 
 @given(st.lists(st.lists(gaussian_ints, min_size=4, max_size=4), min_size=1, max_size=5),
        st.data())
 def test_rank_ignores_column_scaling(vectors, data):
     which = data.draw(st.integers(0, len(vectors) - 1))
-    factor = data.draw(gaussian_ints.filter(bool))
+    factor = data.draw(gaussian_ints.filter(lambda x: x != 0))
     scaled = list(vectors)
-    scaled[which] = tuple(factor * x for x in vectors[which])
+    scaled[which] = tuple(_mul(factor, x) for x in vectors[which])
     assert rank(scaled) == rank(vectors)
     coordinate = data.draw(st.integers(0, 3))
-    rescaled = [tuple(factor * x if r == coordinate else x for r, x in enumerate(v))
+    rescaled = [tuple(_mul(factor, x) if r == coordinate else x for r, x in enumerate(v))
                 for v in vectors]
     assert rank(rescaled) == rank(vectors)
 
@@ -334,8 +322,8 @@ def test_signature_is_a_congruence_invariant(p, q, data):
     picked = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
     basis = []
     for i in picked:
-        vec = [ZERO] * n
-        vec[i] = data.draw(gaussian_ints.filter(bool))
+        vec = [GQ(0)] * n
+        vec[i] = data.draw(gaussian_ints.filter(lambda x: x != 0))
         basis.append(tuple(vec))
     negatives = sum(1 for i in picked if i < q)
     expected = (negatives, len(picked) - negatives, 0)
@@ -344,8 +332,8 @@ def test_signature_is_a_congruence_invariant(p, q, data):
     k = len(basis)
     mixed = []
     for j in range(k):
-        coeffs = [data.draw(scalars) if i < j else ONE if i == j else ZERO for i in range(k)]
-        mixed.append(tuple(sum((c * v[r] for c, v in zip(coeffs, basis)), ZERO)
+        coeffs = [data.draw(scalars) if i < j else GQ(int(i == j)) for i in range(k)]
+        mixed.append(tuple(_sum(_mul(c, v[r]) for c, v in zip(coeffs, basis))
                            for r in range(n)))
     assert signature(mixed, p, q) == expected
 
@@ -355,7 +343,7 @@ def test_signature_of_null_pairs():
     # congruence must mix them with 1 and with i respectively
     u = gq_vector((1, 1))
     assert signature([u, gq_vector((1, -1))], 1, 1) == (1, 1, 0)
-    assert signature([u, gq_vector((I, -I))], 1, 1) == (1, 1, 0)
+    assert signature([u, gq_vector((I, GQ(0, -1)))], 1, 1) == (1, 1, 0)
     assert signature([u, gq_vector((2, 2))], 1, 1) == (0, 0, 2)
 
 
@@ -441,7 +429,7 @@ def test_adapters_take_plain_numbers():
     assert det([(1, 2), (3, 4)]) == GQ(-2)
     assert solve_columns([(2, 0), (0, 1)], [(1, 3)]) == [(GQ(Fraction(1, 2)), GQ(3))]
     assert pivot_rows([(1, 0, 1)]) == (2,)
-    assert subspace_canonical([(2, 0)]) == ((ONE, ZERO),)
+    assert subspace_canonical([(2, 0)]) == ((GQ(1), GQ(0)),)
     assert signature([(1, 0, 0)], 2, 1) == (1, 0, 0)
 
 
@@ -471,11 +459,11 @@ def test_flag_json_roundtrip_is_byte_identical(columns):
 
 
 def test_flag_constructors_reject_dependent_columns():
-    dependent = [gq_vector((1, I, 0)), gq_vector((2, 2 * I, 0)), gq_vector((0, 0, 1))]
+    dependent = [gq_vector((1, I, 0)), gq_vector((2, GQ(0, 2), 0)), gq_vector((0, 0, 1))]
     with pytest.raises(ValueError):
         FlagMatrix.from_columns(dependent)
     with pytest.raises(ValueError):
-        FlagMatrix(3, (1, 2, 3), tuple(dependent))
+        FlagMatrix.from_columns(tuple(dependent), (1, 3))
     data = {"n": 3, "dims": [1, 3],
             "columns": [[x.to_quad() for x in col] for col in dependent]}
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flagslice import flags, gaussian, geometry, slmh, slnr
-from flagslice.gaussian import I, clear, gmul, gq_of, gq_vector, prefix_ranks, zsolve
+from flagslice.gaussian import GQ, I, clear, gmul, gq_of, gq_vector, prefix_ranks, zsolve
 from flagslice.geometry import (FlagMatrix, bilinear_b, conjugation, hermitian_h,
                                 in_base_cycle_su, in_open_orbit_su, is_isotropic_flag,
                                 is_maximally_isotropic, is_tau_generic,
@@ -33,9 +33,13 @@ def test_flag_matrix_validation():
     with pytest.raises(ValueError):
         _flag((1, 0), (2, 0))  # dependent columns
     with pytest.raises(ValueError):
-        FlagMatrix(2, (1,), (gq_vector((1, 0)), gq_vector((0, 1))))
+        _flag(gq_vector((1, 0)), gq_vector((0, 1)), dims=(1,))
     with pytest.raises(ValueError):
-        FlagMatrix(2, (2, 2), (gq_vector((1, 0)), gq_vector((0, 1))))
+        _flag(gq_vector((1, 0)), gq_vector((0, 1)), dims=(2, 2))
+    with pytest.raises(ValueError):
+        FlagMatrix(2, (1, 2), [unit_vector(2, 0)])
+    with pytest.raises(ValueError):
+        FlagMatrix(2, (1, 2), [unit_vector(2, 0), unit_vector(3, 1)])
 
 
 def test_geometry_reexports_the_names_the_tracer_reads():
@@ -46,7 +50,7 @@ def test_geometry_reexports_the_names_the_tracer_reads():
 
 def test_public_constructor_calls_rank_through_the_module(monkeypatch):
     # A wrapper put on gaussian.rank (as the benchmark's tracer does) must see
-    # the constructor's rank re-check.
+    # the rank check of from_columns.
     calls = []
     original = gaussian.rank
 
@@ -62,16 +66,16 @@ def test_public_constructor_calls_rank_through_the_module(monkeypatch):
 def test_flag_json_roundtrip():
     flag = _flag((I, 1), (1, 0))
     again = FlagMatrix.from_json(flag.to_json())
-    assert again.same_flag(flag)
+    assert again.canonical_key() == flag.canonical_key()
     assert again == flag
 
 
 def test_flag_equality_is_span_equality():
     a = _flag((1, 1, 0), (0, 1, 0), (0, 0, 1))
     b = _flag((2, 2, 0), (1, 3, 0), (1, 1, 5))
-    assert a.same_flag(b)
+    assert a.canonical_key() == b.canonical_key()
     c = _flag((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert not a.same_flag(c)
+    assert a.canonical_key() != c.canonical_key()
 
 
 def test_quaternion_conjugation_action():
@@ -252,7 +256,7 @@ def _dense_cell_sample(word, reference, seed, dims=None):
         g = gcd(den * ref_den, *(part for x in vec for part in x))
         cleared.append((tuple((a // g, b // g) for a, b in vec), den * ref_den // g))
     zcols, dens = zip(*cleared)
-    return FlagMatrix.trusted(n, dims if dims is not None else range(1, n + 1), zcols, dens)
+    return FlagMatrix(n, dims if dims is not None else range(1, n + 1), zcols, dens)
 
 
 def test_cell_sample_equals_the_dense_cell_sample():
@@ -260,7 +264,7 @@ def test_cell_sample_equals_the_dense_cell_sample():
     references += [iwasawa_reference_h(2), iwasawa_reference_su(2, 2),
                    iwasawa_reference_su(3, 2),
                    # complex entries over several denominators
-                   _flag(gq_vector((Fraction(1, 2), I, 0)), gq_vector((0, 1, Fraction(2, 3) * I)),
+                   _flag(gq_vector((Fraction(1, 2), I, 0)), gq_vector((0, 1, GQ(0, Fraction(2, 3)))),
                          gq_vector((1, 0, 1)))]
     for reference in references:
         n = reference.n
@@ -299,7 +303,7 @@ def test_sampling_hits_generic_locus_with_high_probability():
 
 def test_orientation_classes():
     plus = _flag((I, 1), (1, 0))
-    minus = _flag((-I, 1), (1, 0))
+    minus = _flag((GQ(0, -1), 1), (1, 0))
     assert {orientation_class(plus), orientation_class(minus)} == {1, -1}
     with pytest.raises(ValueError):
         orientation_class(_flag((1, 0), (0, 1)))  # not generic at the middle
@@ -337,7 +341,7 @@ def _coarsenings(flag):
     n = flag.n
     for k in range(n):
         for dims in combinations(range(1, n), k):
-            yield FlagMatrix.trusted(n, dims + (n,), flag.zcols, flag.dens)
+            yield FlagMatrix(n, dims + (n,), flag.zcols, flag.dens)
 
 
 def _equivalence_cases():

@@ -215,17 +215,16 @@ def test_generalized_spacing_matches_its_definition():
 
 
 def _public_point(word, dims):
-    """The intersection point of a word through the public constructor,
-    from GaussianRational columns and with its rank re-check."""
+    """The intersection point of a word through ``FlagMatrix.from_columns``,
+    from Q(i) columns and with its rank check."""
     n, m = len(word), len(word) // 2
     s = [v for block in slmh.sigma_blocks_of(word, dims) for v in block]
 
     def unit(index, value):
-        return tuple(value if i == index else gaussian.ZERO for i in range(n))
+        return tuple(value if i == index else 0 for i in range(n))
 
-    columns = ([unit(v - 1, gaussian.ONE) for v in s]
-               + [unit(m + v - 1, -gaussian.ONE) for v in reversed(s)])
-    return flags.FlagMatrix(n, prefix_sums(dims), columns)
+    columns = ([unit(v - 1, 1) for v in s] + [unit(m + v - 1, -1) for v in reversed(s)])
+    return flags.FlagMatrix.from_columns(columns, prefix_sums(dims))
 
 
 @pytest.mark.parametrize("dims", [(1,) * 12] + [d for n in range(2, 11, 2)

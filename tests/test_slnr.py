@@ -296,7 +296,7 @@ def test_certified_extra_measurable_members():
         lifted = slnr.canonical_rearrangement(word, dims)
         assert slnr.double_box_check(lifted)
         point = slnr.intersection_points_gb(lifted)[0]
-        partial = FlagMatrix(n, deltas, point.columns)
+        partial = FlagMatrix.from_columns(point.columns, deltas)
         assert is_isotropic_flag(partial, bilinear_b())
         assert is_tau_generic(partial)
         assert schubert_cell_membership(partial, word, reference)
@@ -335,9 +335,9 @@ def test_spacing_equivalence_is_a_complementary_length_statement():
     word = (4, 2, 3, 1)
     assert inversion_length(word) != slnr.expected_length_gb(4)
     assert not slnr.spacing_check(word)
-    witness = FlagMatrix(4, (1, 2, 3, 4), (
+    witness = FlagMatrix.from_columns((
         gq_vector((I, 0, I, 1)), gq_vector((I, 1, 0, 0)),
-        gq_vector((0, 0, 1, 0)), gq_vector((1, 0, 0, 0))))
+        gq_vector((0, 0, 1, 0)), gq_vector((1, 0, 0, 0))), (1, 2, 3, 4))
     assert schubert_cell_membership(witness, word, standard_reference(4))
     assert is_tau_generic(witness)
 
