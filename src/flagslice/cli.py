@@ -252,7 +252,8 @@ def cmd_homology(args) -> int:
     # where "\0" stands, as ``tables.flag_text`` does for columns.
     classes, row["classes"] = row["classes"], "\0"
     head, tail = render(payload, "json").split('"\\u0000"')
-    listed = _json_list(['"%s"' % text for text in classes], "      ")
+    inner = "\n        "
+    listed = "[" + inner + '"' + ('",' + inner + '"').join(classes) + '"\n      ]'
     _write(args, iter((head + listed + tail,)))
     return 0
 

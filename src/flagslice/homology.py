@@ -23,8 +23,8 @@ class HomologyExpansion(NamedTuple("HomologyExpansion", [
                 context: tuple[tuple[str, str], ...]):
         if coefficient < 1:
             raise ValueError("coefficient must be positive")
-        if len(set(classes)) != len(classes):
-            raise ValueError("classes must be distinct")
+        if any(a >= b for a, b in zip(classes, classes[1:])):
+            raise ValueError("classes must be distinct and in increasing order")
         return super().__new__(cls, coefficient, classes, context)
 
     def to_json(self) -> dict:

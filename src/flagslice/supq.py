@@ -13,17 +13,21 @@ adjacently, ignoring earlier pairs, singles increasing) detects the
 complementary-dimension ones.  Each such variety meets exactly 2^q open
 orbits, once each, in a coordinate flag.
 
-One placement walk (``_fill_pairs``) fills the words of every enumerator,
-slot by slot in lexicographic order: over all slots for ``enumerate_i_pq``,
-and over an orbit's free slots, each pair on a minus and a plus slot, for
-``words_for_orbit`` and ``enumerate_for_orbit_gp``, which reads the
-intersection point off the filled word.
+Two walks build the words, each in lexicographic order without a sort.
+``enumerate_i_pq`` inserts the pairs one at a time, innermost first, into
+every gap of the words of the level below, and emits each level by a
+post-order walk over the level below read as a trie.  The orbit walk
+(``_fill_pairs``) fills an orbit's free slots one by one, each pair on a
+minus and a plus slot, for ``words_for_orbit`` and
+``enumerate_for_orbit_gp``, which reads the intersection point off the
+filled word.  The tests check each walk against the other.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 from math import comb, factorial
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from . import _lazy
@@ -226,20 +230,22 @@ def count_i_pq(p: int, q: int) -> int:
 
 
 def _fill_pairs(word: list[int], spans: Sequence[tuple[int, int, int]], first: int,
-                p: int, q: int, signs: str | None, emit: Callable[[], None]) -> None:
-    """The strictly pairing placement, slot by slot, in lexicographic order.
+                p: int, q: int, signs: str, emit: Callable[[], None]) -> None:
+    """The strictly pairing placement over an orbit's slots, slot by slot,
+    in lexicographic order.
 
     ``spans`` holds one ``(start, end, f)`` per block.  The inner pairs
     (n+1-i, i), i < ``first``, are dealt f to a block, smallest first: their
     small letters, increasing, go on the block's first f slots and their big
     letters, increasing, on its last f slots.  The slots between are filled
     left to right with the pairs i = first..q and the singles q+1..p: a slot
-    closes the innermost open pair (its small letter), takes the next single
-    when no pair is open, or opens a pair smaller than the innermost open
-    one (its big letter).  So pair i encloses only smaller pairs, which is
-    pair i sitting on two slots adjacent once the pairs before it are
-    removed, and the singles sit outside every pair.  When ``signs`` is
-    given, the two slots of a pair have opposite signs.
+    closes the innermost open pair (its small letter) if its sign differs
+    from the one the pair opened on, takes the next single when no pair is
+    open, or opens a pair smaller than the innermost open one (its big
+    letter).  So pair i encloses only smaller pairs, which is pair i
+    sitting on two slots adjacent once the pairs before it are removed, the
+    two slots of a pair have opposite signs, and the singles sit outside
+    every pair.
 
     Each slot tries its letters in increasing order, so ``emit()`` sees the
     filled words in lexicographic order.  When the slots between a block's
@@ -252,16 +258,15 @@ def _fill_pairs(word: list[int], spans: Sequence[tuple[int, int, int]], first: i
     last = len(spans) - 1
     stops = [end - f for _, end, f in spans]
     unused = list(range(first, q + 1))  # pairs not opened yet, increasing
-    stack: list[tuple[int, str | None]] = []  # open pairs (i, sign), innermost last
+    stack: list[tuple[int, str]] = []  # open pairs (i, sign), innermost last
     # Free slots of each sign from a slot on, and open pairs waiting for one.
     spare = {sign: [0] * (n + 1) for sign in "+-"}
-    waiting = {"+": 0, "-": 0, None: 0}
-    if signs is not None:
-        for start, end, f in reversed(spans):
-            for s in range(end - 1, start - 1, -1):
-                free = start + f <= s < end - f
-                for sign in "+-":
-                    spare[sign][s] = spare[sign][s + 1] + (free and signs[s] == sign)
+    waiting = {"+": 0, "-": 0}
+    for start, end, f in reversed(spans):
+        for s in range(end - 1, start - 1, -1):
+            free = start + f <= s < end - f
+            for sign in "+-":
+                spare[sign][s] = spare[sign][s + 1] + (free and signs[s] == sign)
     plus, minus = spare["+"], spare["-"]
 
     def deal(j: int, inner: tuple[int, ...], single: int) -> None:
@@ -275,42 +280,28 @@ def _fill_pairs(word: list[int], spans: Sequence[tuple[int, int, int]], first: i
             fill(j, start + f, tuple(i for i in inner if i not in chosen), single)
 
     def fill(j: int, slot: int, inner: tuple[int, ...], single: int) -> None:
-        if signs is not None and (waiting["-"] + len(unused) > plus[slot]
-                                  or waiting["+"] + len(unused) > minus[slot]):
+        if (waiting["-"] + len(unused) > plus[slot]
+                or waiting["+"] + len(unused) > minus[slot]):
             return  # too few slots of one sign left for the pairs
-        if j == last and len(unused) <= (signs is None):
+        if j == last and not unused:
             # The rest is forced: the open pairs close innermost first, then
-            # the singles follow.  Without signs, a last unused pair u sits
-            # on two adjacent slots: last, then one place earlier each time,
-            # down to the first place where no open pair below u is left.
+            # the singles follow.
             tail = []
             for top, sign in reversed(stack):
-                if sign is not None and sign == signs[slot + len(tail)]:
+                if sign == signs[slot + len(tail)]:
                     return
                 tail.append(top)
             tail += range(single, p + 1)
-            gap = len(tail)
-            word[slot:slot + gap] = tail
-            if unused:
-                u = unused[0]
-                big = word[slot + gap] = n + 1 - u
-                word[slot + gap + 1] = u
-                emit()
-                for gap in range(gap - 1, sum(top < u for top, _ in stack) - 1, -1):
-                    word[slot + gap + 2] = tail[gap]
-                    word[slot + gap] = big
-                    word[slot + gap + 1] = u
-                    emit()
-            else:
-                emit()
+            word[slot:slot + len(tail)] = tail
+            emit()
             return
         if slot == stops[j]:
             deal(j + 1, inner, single)
             return
-        here = None if signs is None else signs[slot]
+        here = signs[slot]
         if stack:
             top, sign = stack[-1]
-            if sign is None or sign != here:
+            if sign != here:
                 word[slot] = top
                 stack.pop()
                 waiting[sign] -= 1
@@ -337,18 +328,50 @@ def _fill_pairs(word: list[int], spans: Sequence[tuple[int, int, int]], first: i
 
 
 def enumerate_i_pq(p: int, q: int) -> list[Word]:
-    """All words passing the strictly pairing condition, lexicographically:
-    the placement walk over all slots.
+    """All words passing the strictly pairing condition, lexicographically.
 
+    The words grow one pair at a time, from pair q down to pair 1, out of
+    the singles q+1..p, increasing: level i inserts the adjacent letters
+    (n+1-i, i) into each gap t = 0..L of every word w of the level below,
+    whose letters lie strictly between i and n+1-i.  Deleting pairs 1, 2,
+    ... in turn undoes the insertions, so these are the strictly pairing
+    words.  The order needs no sort.  As n+1-i exceeds every letter of w,
+    insert(w, t) sorts after every word that extends the prefix w[:t]; so,
+    with the sorted level below read as a trie, a post-order walk emits the
+    level in order, each node w[:t] inserting at gap t into the words of its
+    range.  A node closes where the common prefix of two neighbours ends.
+
+    >>> enumerate_i_pq(3, 2)  # doctest: +NORMALIZE_WHITESPACE
+    [(3, 4, 2, 5, 1), (3, 4, 5, 1, 2), (3, 5, 1, 4, 2), (4, 2, 3, 5, 1),
+     (4, 2, 5, 1, 3), (4, 5, 1, 2, 3), (5, 1, 3, 4, 2), (5, 1, 4, 2, 3)]
     >>> [len(enumerate_i_pq(p, q)) for p, q in ((3, 2), (4, 2), (3, 0))]
     [8, 15, 1]
     """
     if p < q or q < 0 or p < 1:
         raise ValueError("need p >= q >= 0 and p >= 1")
     n = p + q
-    word = [0] * n
-    words: list[Word] = []
-    _fill_pairs(word, ((0, n, 0),), 1, p, q, None, lambda: words.append(tuple(word)))
+    words: list[Word] = [tuple(range(q + 1, p + 1))]
+    for i in range(q, 0, -1):
+        size, last = len(words[0]), len(words) - 1
+        # base[j] is words[j] with the pair inserted at its end, and gets[t]
+        # moves the pair to gap t.
+        base = [w + (n + 1 - i, i) for w in words]
+        gets = [itemgetter(*range(t), size, size + 1, *range(t, size))
+                for t in range(size)]
+        starts = [0] * size  # where the open node w[:t] of each depth began
+        out: list[Word] = []
+        for j, w in enumerate(words):
+            out.append(base[j])  # The leaf w is a node of its own.
+            common = -1
+            if j < last:
+                after = words[j + 1]
+                common = 0
+                while w[common] == after[common]:
+                    common += 1
+            for t in range(size - 1, common, -1):
+                out.extend(map(gets[t], base[starts[t]:j + 1]))
+                starts[t] = j + 1
+        words = out
     return words
 
 

@@ -8,8 +8,9 @@ is too slow for this test), plus requests with n >= 10, where a word's
 ``display`` is space-separated, plus ``--n 1 --dims 1``, whose block list
 holds no comma and so is not quoted in CSV, plus word and class lists of
 several block pairs over a middle block (odd ``--n``, ``--dims`` with a
-middle block) and long spliced class lists, plus the full ``verify`` suite
-at two seeds with one sample per sampling case.  A change that alters one
+middle block) and long spliced class lists, plus the SU(8,5) requests of
+the ``enum_mix`` benchmark workload, plus the full ``verify`` suite at two
+seeds with one sample per sampling case.  A change that alters one
 of these outputs on purpose records the new digest here and says why.
 """
 
@@ -217,6 +218,12 @@ GOLDEN = {
         "e2a36bdbb69917152b03ab9fd508c4828cff03d6275a5911ed76de0e4f889858",
     "homology --form slmh --n 12":
         "32e7e0bd81a5c665bc1c07be54989d560cae3740274c9ae5be7e737b686a074c",
+    "enumerate --form supq --p 8 --q 5 --format json":
+        "3b504424fed00e82997cc48a5a8bee0a5197ad913fbce446a4ac62dacbd96e06",
+    "enumerate --form supq --p 8 --q 5 --format csv":
+        "37809d9db60f1ab18de4b6bb4b594f652b0686d9f0db384283fbb01b0b8311ab",
+    "homology --form supq --p 8 --q 5":
+        "957a3d923ac6a2955d51073256b4bc84e8c672c0e67aee5ce75eb6e6e5b692cd",
     "verify --fast":
         "1ea7d990785af2526c8096030b8e922a9232cbab4fced9142bc886158a3744dd",
     "verify --seed 0 --samples 1":

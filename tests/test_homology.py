@@ -49,6 +49,13 @@ def test_supq_per_orbit_and_total():
     assert definite.classes == ((1, 2, 3, 4),)
 
 
+def test_classes_must_strictly_increase():
+    homology.HomologyExpansion(1, ((1, 2), (2, 1)), ())
+    for classes in (((1, 2), (1, 2)), ((2, 1), (1, 2))):
+        with pytest.raises(ValueError, match="distinct and in increasing order"):
+            homology.HomologyExpansion(1, classes, ())
+
+
 def test_class_counts_match_counting_formulas():
     assert len(homology.base_cycle_class("slnr", n=7).classes) == 48
     assert len(homology.base_cycle_class("slmh", n=10).classes) == 120

@@ -201,10 +201,41 @@ def test_enumerate_i_pq_is_the_strictly_pairing_permutations():
             assert supq.enumerate_i_pq(p, q) == expected, (p, q)
 
 
+# sha256 of ``repr([enumerate_i_pq(n - q, q) for q in range(n // 2 + 1)])``,
+# recorded from the slot-by-slot placement walk that built these lists before
+# the pair-insertion walk: the words and their order, past where the
+# permutation filter above is affordable.
+ENUMERATE_I_PQ_SHA256 = {
+    1: "e1e54756583f510d6d477ed916f0b91888f9c42e70e78fdd3e39925daa0b312c",
+    2: "03d1354dad6315bd6459ca39b98714459a9c6bca01206af63a21006432662a79",
+    3: "6ea2ce2ca298c7520fa09ad168c2106f41d9355706b7ad8c95dc27c0ea25476a",
+    4: "771fe13c2ee846e5a5d6c57cdddc967730e92b93fc51aa4134bb95d4df560960",
+    5: "2144c96c752512b89984d7c4c0d2c92528ee80843be1b230bcef0a152b8d7f24",
+    6: "b935ec890b65278c07205df0ed9077fee0e35df468d2fa9d219f61c452120f49",
+    7: "71604607e40ded14499e4276e732fc82fbd293e1e31ab5193048a56467a0b46c",
+    8: "79ac0e4d8ea8167411c70f6aa38c81cd12aa08ccfb2475a6380e13d22b30c8bd",
+    9: "fd0e2964a75d46968316e9815018ddafe34989293a21db284c5f9a0675fce094",
+    10: "37cd634333888a1fe878af87cb3d1de0a4d6e23482c014b7f43ca376fc2c97da",
+    11: "151d99028f42cdcc28d9d8127e946585a3b2fc0cb06aa4a25689af80951f99de",
+    12: "362d3a09392a0439078b3d1fd0adadb67d867ed06282c35da9efd8486a676a45",
+    13: "b482ce3e61e1de5d10425bdaabbb371853f0638fd617ed345736b9807ef77114",
+}
+
+
+@pytest.mark.parametrize("n", list(ENUMERATE_I_PQ_SHA256))
+def test_enumerate_i_pq_lists_are_pinned(n):
+    words = [supq.enumerate_i_pq(n - q, q) for q in range(n // 2 + 1)]
+    assert hashlib.sha256(repr(words).encode()).hexdigest() == ENUMERATE_I_PQ_SHA256[n]
+
+
 def test_enumerate_i_pq_inverts_to_the_double_box_words():
-    # Inverting a double box word puts letter n+1-i at position l_i and
-    # letter i at position k_i: the strictly pairing placement.  So slnr's
-    # pair walk and the supq placement walk must agree.
+    # A word of ``slnr._pair_words((1,) * q, n)`` holds the head of pair i
+    # at position i and its tail, the head's left neighbour among the
+    # letters pairs 1..i-1 leave, at position n+1-i, and the rest in order
+    # in the middle.  Its inverse puts letter n+1-i just left of letter i
+    # once pairs 1..i-1 are removed, and the singles in order: the strictly
+    # pairing placement.  So slnr's pair walk, which shares no code with
+    # supq, checks the pair insertion at every q.
     def inverse(word):
         out = [0] * len(word)
         for position, v in enumerate(word, 1):
@@ -212,13 +243,15 @@ def test_enumerate_i_pq_inverts_to_the_double_box_words():
         return tuple(out)
 
     for n in range(1, 13):
-        words = supq.enumerate_i_pq((n + 1) // 2, n // 2)
-        assert slnr.enumerate_gb(n) == sorted(map(inverse, words)), n
+        for q in range(0, n // 2 + 1):
+            words = supq.enumerate_i_pq(n - q, q)
+            assert slnr._pair_words((1,) * q, n) == sorted(map(inverse, words)), (n, q)
 
 
 def test_enumerate_i_pq_is_the_union_over_complete_flag_orbits():
-    # Both enumerators run the same placement walk, so this checks the sign
-    # split (each word meets some complete-flag orbit), not the walk itself.
+    # The pair insertion of ``enumerate_i_pq`` and the slot-by-slot orbit
+    # walk share no code, so this checks one walk against the other, and
+    # the sign split: each word meets some complete-flag orbit.
     for n in range(1, 9):
         for q in range(0, n // 2 + 1):
             p = n - q
