@@ -231,12 +231,11 @@ def check_transposition_points_supq(sizes=((2, 1), (2, 2), (3, 2))) -> CheckResu
 # -- randomized genericity sampling vs the open-orbit predicates ------------------
 
 
-def _sampling_failures(cases, seed: int, tag: int, samples: int,
-                       escalation: int) -> list[str]:
+def _sampling_failures(cases, seed: int, tag: int, samples: int) -> list[str]:
     """Per case (label, reference, complementary length, predicate, hit
     test), every word of that length whose predicate disagrees with sampled
-    membership.  A predicted hit gets ``escalation`` draws, a predicted miss
-    ``samples``; the draws stop at the first hit."""
+    membership.  A predicted hit gets 5 * ``samples`` draws, a predicted
+    miss ``samples``; the draws stop at the first hit."""
     failures = []
     for label, reference, length, predicate, hit in cases:
         for word in iter_permutations(range(1, reference.n + 1)):
@@ -245,36 +244,34 @@ def _sampling_failures(cases, seed: int, tag: int, samples: int,
             predicted = predicate(word)
             found = any(hit(random_cell_sample(word, reference,
                                                _derived_seed(seed, tag, word, trial)))
-                        for trial in range(escalation if predicted else samples))
+                        for trial in range(5 * samples if predicted else samples))
             if predicted != found:
                 failures.append(f"{label} {word_text(word)}: predicted {predicted}, sampled {found}")
     return failures
 
 
-def check_sampling_slnr(n_values=range(2, 7), seed: int = 0, samples: int = 20,
-                        escalation: int = 100) -> CheckResult:
+def check_sampling_slnr(n_values=range(2, 7), seed: int = 0, samples: int = 20) -> CheckResult:
     cases = [(f"n={n}", standard_reference(n), forms.length(forms.Request("slnr", n=n)),
               lambda word: slnr.spacing_check(word),
               lambda flag: tau_generic_full_flag(flag, "real-conjugation"))
              for n in n_values]
     return _result("spacing predicate == sampled open-orbit membership",
                    f"n in {list(n_values)}, {samples} seeds",
-                   _sampling_failures(cases, seed, 1, samples, escalation))
+                   _sampling_failures(cases, seed, 1, samples))
 
 
-def check_sampling_slmh(m_values=range(1, 4), seed: int = 0, samples: int = 20,
-                        escalation: int = 100) -> CheckResult:
+def check_sampling_slmh(m_values=range(1, 4), seed: int = 0, samples: int = 20) -> CheckResult:
     cases = [(f"m={m}", iwasawa_reference_h(m), forms.length(forms.Request("slmh", n=2 * m)),
               lambda word: slmh.spacing_check_h(word),
               lambda flag: tau_generic_full_flag(flag, "quaternion-j"))
              for m in m_values]
     return _result("quaternionic spacing == sampled open-orbit membership",
                    f"m in {list(m_values)}, {samples} seeds",
-                   _sampling_failures(cases, seed, 2, samples, escalation))
+                   _sampling_failures(cases, seed, 2, samples))
 
 
 def check_sampling_supq(sizes=((2, 1), (2, 2), (3, 2)), seed: int = 0,
-                        samples: int = 20, escalation: int = 100) -> CheckResult:
+                        samples: int = 20) -> CheckResult:
     # p and q are bound per case: a late-bound closure would see the last size.
     cases = [(f"({p},{q})", iwasawa_reference_su(p, q),
               forms.length(forms.Request("supq", p=p, q=q)),
@@ -283,7 +280,7 @@ def check_sampling_supq(sizes=((2, 1), (2, 2), (3, 2)), seed: int = 0,
              for p, q in sizes]
     return _result("pairing predicate == sampled nondegenerate-orbit membership",
                    f"sizes {list(sizes)}, {samples} seeds",
-                   _sampling_failures(cases, seed, 3, samples, escalation))
+                   _sampling_failures(cases, seed, 3, samples))
 
 
 # -- partial-flag machinery --------------------------------------------------------
@@ -422,15 +419,13 @@ def fast_suite() -> list[CheckResult]:
     ]
 
 
-def sampling_suite(seed: int = 0, samples: int = 20,
-                   escalation: int = 100) -> list[CheckResult]:
+def sampling_suite(seed: int = 0, samples: int = 20) -> list[CheckResult]:
     return [
-        check_sampling_slnr(seed=seed, samples=samples, escalation=escalation),
-        check_sampling_slmh(seed=seed, samples=samples, escalation=escalation),
-        check_sampling_supq(seed=seed, samples=samples, escalation=escalation),
+        check_sampling_slnr(seed=seed, samples=samples),
+        check_sampling_slmh(seed=seed, samples=samples),
+        check_sampling_supq(seed=seed, samples=samples),
     ]
 
 
-def full_suite(seed: int = 0, samples: int = 20,
-               escalation: int = 100) -> list[CheckResult]:
-    return fast_suite() + sampling_suite(seed, samples, escalation)
+def full_suite(seed: int = 0, samples: int = 20) -> list[CheckResult]:
+    return fast_suite() + sampling_suite(seed, samples)

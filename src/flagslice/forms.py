@@ -170,35 +170,32 @@ def printable_digits() -> int:
 
 
 # The command line writes each row as it is built, but builds the word list
-# of a request whole, so it refuses a request with a closed count over these
-# budgets before anything is enumerated.  Measured with streamed rows (child
-# peak resident set, Python 3.11, 2-vCPU host): enumerate slnr --n 15 (645120
+# of a request whole, so it refuses a request with a closed count over its
+# budget before anything is enumerated.  A word of n letters is a tuple of n
+# ints and prints as about 9 bytes per letter, and a flag prints about 110
+# bytes of JSON per entry of its n x n matrix, so the budgets count the
+# letters of the words and the entries of the flags: MAX_LETTERS is a
+# million words of 16 letters, MAX_ENTRIES the 30240 flags of points slnr
+# --n 10, about 360 MB of JSON.  Measured with streamed rows (child peak
+# resident set, Python 3.11, 2-vCPU host): enumerate slnr --n 15 (645120
 # words) takes 1.4 s and peaks at 129 MB, about 0.2 KB per word: the word
 # tuples, plus one itemgetter per word of n = 13 while the first block pair
-# is read off; points slnr --n 10 (30240 flags, 945 words, 343 MB of JSON)
-# peaks at 18 MB and takes 1.0 s, points supq --p 6 --q 4 (15120 flags) 17 MB
-# and 0.9 s.  So MAX_WORDS allows a peak of about 200 MB, and MAX_POINTS
-# about 1 s and 360 MB of JSON.
-MAX_WORDS = 1_000_000
-MAX_POINTS = 32_000
-# A word of n letters is a tuple of n ints and prints as about 9 bytes per
-# letter, and a flag prints about 110 bytes of JSON per entry of its n x n
-# matrix, so few but long words or flags pass the budgets above and still
-# print without bound: enumerate supq --p 2000 --q 1 (2000 words of 2001
-# letters) prints 36 MB, points supq --p 150 --q 1 (300 flags of 151 x 151)
-# 741 MB.  So the letters of the words and the entries of the flags
-# have budgets too: MAX_LETTERS, a million words of 16 letters, allows
-# enumerate supq --p 3999 --q 1 (1.2 s, a peak of 137 MB, 151 MB printed),
-# and MAX_ENTRIES allows the 30240 flags of points slnr --n 10, about 360 MB
-# of JSON.
+# is read off; enumerate supq --p 3999 --q 1 (3999 words of 4000 letters)
+# takes 1.2 s, a peak of 137 MB and prints 151 MB; points slnr --n 10 (945
+# words, 343 MB of JSON) peaks at 18 MB and takes 1.0 s, points supq --p 6
+# --q 4 (15120 flags) 17 MB and 0.9 s.  The number of words or flags needs
+# no budget of its own: more than a million words of 16 or more letters, or
+# more than 32000 flags of 10 x 10 or more entries, exceed these budgets,
+# and no smaller request has that many (the most are 645120 words at n = 15
+# and 6144 flags at n = 9).
 MAX_LETTERS = 16_000_000
 MAX_ENTRIES = 3_200_000
 
 
 def check_size(req: Request, points: bool = False) -> None:
-    """Raise ValueError when the words of a request, or their intersection
-    points when ``points`` is set, exceed their budgets: their number, and
-    the letters of the words or the entries of the flags."""
+    """Raise ValueError when the letters of a request's words, or the
+    entries of their intersection flags when ``points`` is set, exceed
+    their budget."""
     total, digits = closed_count(req), printable_digits()
     # slnr points of partial flags are refused by ``points`` with its own message.
     if total is None or points and req.form == "slnr" and not req.complete:
@@ -210,19 +207,13 @@ def check_size(req: Request, points: bool = False) -> None:
         per_word = (2 ** (req.n // 2) if req.form == "slnr"
                     else 2 ** req.q if req.form == "supq" else 1)
         found = total * per_word
-        if found > MAX_POINTS:
-            raise ValueError(f"{text(found)} intersection points ({text(total)} words, "
-                             f"{text(per_word)} each) exceed the limit of {MAX_POINTS} "
-                             f"per request")
         if found * n * n > MAX_ENTRIES:
-            raise ValueError(f"{found} intersection points of {n} x {n} entries "
-                             f"({found * n * n} in all) exceed the limit of "
+            raise ValueError(f"{text(found)} intersection points of {n} x {n} entries "
+                             f"({text(found * n * n)} in all) exceed the limit of "
                              f"{MAX_ENTRIES} entries per request")
-    elif total > MAX_WORDS:
-        raise ValueError(f"{text(total)} words exceed the limit of {MAX_WORDS} per request")
     elif total * n > MAX_LETTERS:
-        raise ValueError(f"{total} words of {n} letters ({total * n} in all) exceed the "
-                         f"limit of {MAX_LETTERS} letters per request")
+        raise ValueError(f"{text(total)} words of {n} letters ({text(total * n)} in all) "
+                         f"exceed the limit of {MAX_LETTERS} letters per request")
 
 
 def points(req: Request) -> tuple[Dims | None, tuple[str, ...],

@@ -76,8 +76,7 @@ class _LetterTable(dict):
 _letter = _LetterTable().__getitem__
 
 
-def format_word(word: Sequence[int], dims: Sequence[int] | None = None,
-                compact: bool | None = None) -> str:
+def format_word(word: Sequence[int], dims: Sequence[int] | None = None) -> str:
     """Render a permutation; block parentheses when ``dims`` is given.
 
     Values are concatenated without separators only when n <= 9, otherwise
@@ -90,8 +89,7 @@ def format_word(word: Sequence[int], dims: Sequence[int] | None = None,
     >>> format_word((10, 2, 1, 3, 4, 5, 6, 7, 8, 9))
     '10 2 1 3 4 5 6 7 8 9'
     """
-    if compact is None:
-        compact = len(word) <= 9
+    compact = len(word) <= 9
     if dims is None:
         return ("" if compact else " ").join(map(_letter, word))
     return format_blocks(blocks(word, dims), compact)

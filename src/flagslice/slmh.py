@@ -10,11 +10,14 @@ passing it biject with permutations on m letters, and each Schubert variety
 meets the cycle in a single explicit flag, written in the Iwasawa-adapted
 ordered basis (e_1, j(e_1), ..., e_m, j(e_m)).
 
-Symmetric dimension sequences have one enumerator, the double box walk of
-the split form on the aligned pairs (2v-1, 2v), which emits its words in
-lexicographic order.  Complete flags are the all-ones case:
-``enumerate_gb_h(m) == enumerate_measurable_h((1,) * 2m)``, and
-``intersection_point_h`` is ``intersection_point_measurable_h`` on (1,) * 2m.
+Each condition has one function, stated block by block for a symmetric
+dimension sequence ``dims``; complete flags, the default ``dims``, are the
+case where every block has one letter.  Symmetric dimension sequences have
+one enumerator, the double box walk of the split form on the aligned pairs
+(2v-1, 2v), which emits its words in lexicographic order.  Complete flags
+are the all-ones case: ``enumerate_gb_h(m) == enumerate_measurable_h((1,) *
+2m)``, and ``intersection_point_h`` is ``intersection_point_measurable_h``
+on (1,) * 2m.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from typing import Sequence
 
 from . import _lazy
 from .permutations import Dims, Word, check_word, prefix_sums
-from .slnr import (_block_pairs, _pair_words, _require_symmetric, kl_split,
-                   through_model)
+from .slnr import _block_pairs, _pair_words, _require_symmetric, through_model
 from .slnr import measurable_model  # noqa: F401  (the shared symmetric model)
 
 flags, gaussian = _lazy("flags"), _lazy("gaussian")
@@ -38,29 +40,47 @@ def _check_even(word: Sequence[int]) -> Word:
     return word
 
 
-def spacing_check_h(word: Sequence[int]) -> bool:
-    """l_i < k_i, or k_i odd with l_i = k_i + 1, for every head/tail pair.
+def spacing_check_h(word: Sequence[int], dims: Sequence[int] | None = None) -> bool:
+    """Per symmetric block pair, some arrangement of the tail block satisfies
+    the quaternionic spacing predicate against the heads: on complete flags
+    (``dims`` None), l_i < k_i, or k_i odd with l_i = k_i + 1, for every
+    head/tail pair of ``kl_split(word)``.
+
+    A tail l never equals a head k, so l may pair with k exactly when
+    l <= k + 1 (k odd) or l <= k - 1 (k even).  Each head accepts every tail
+    up to its bound, so an arrangement exists exactly when the sorted tails
+    are, position by position, no larger than the sorted bounds.
 
     >>> spacing_check_h((3, 2, 5, 6, 1, 4))
     True
     >>> spacing_check_h((1, 2, 3, 4))
     False
+    >>> spacing_check_h((1, 3, 2, 4), (2, 2))
+    True
+    >>> spacing_check_h((1, 2, 3, 4), (2, 2))
+    False
     """
-    split = kl_split(_check_even(word))
-    return all(l < k or (k % 2 == 1 and l == k + 1)
-               for k, l in zip(split.k, split.l))
+    pairs, _ = _block_pairs(_check_even(word), dims)
+    return all(l <= bound for heads, tails in pairs
+               for l, bound in zip(tails, sorted(k + 1 if k % 2 else k - 1 for k in heads)))
 
 
-def strictly_pairing_check_h(word: Sequence[int]) -> bool:
-    """Every head odd and its tail the next integer.
+def strictly_pairing_check_h(word: Sequence[int], dims: Sequence[int] | None = None) -> bool:
+    """Positional strictly pairing blockwise: the i-th tail of each mirror
+    block is the successor of the i-th (odd) head, and the middle block
+    consists of (odd, odd+1) pairs.  On complete flags (``dims`` None) every
+    head k_i is odd and its tail l_i is k_i + 1.
 
     >>> strictly_pairing_check_h((3, 1, 5, 6, 2, 4))
     True
     >>> strictly_pairing_check_h((3, 2, 5, 6, 1, 4))
     False
+    >>> strictly_pairing_check_h((1, 3, 2, 4), (2, 2))
+    True
+    >>> strictly_pairing_check_h((1, 5, 3, 4, 2, 6), (2, 2, 2))
+    True
     """
-    split = kl_split(_check_even(word))
-    return all(k % 2 == 1 and l == k + 1 for k, l in zip(split.k, split.l))
+    return _strictly_pairing(*_block_pairs(_check_even(word), dims))
 
 
 def sigma_m_to_w(s: Sequence[int]) -> Word:
@@ -148,44 +168,6 @@ def intersection_point_h(word: Sequence[int]) -> flags.FlagMatrix:
 # -- measurable partial flags ---------------------------------------------------
 
 
-def generalized_spacing_check_h(word: Sequence[int], dims: Sequence[int]) -> bool:
-    """Per symmetric block pair, some arrangement of the tail block satisfies
-    the quaternionic spacing predicate against the heads.
-
-    A tail l never equals a head k, so l may pair with k exactly when
-    l <= k + 1 (k odd) or l <= k - 1 (k even).  Each head accepts every tail
-    up to its bound, so an arrangement exists exactly when the sorted tails
-    are, position by position, no larger than the sorted bounds.
-
-    >>> generalized_spacing_check_h((1, 3, 2, 4), (2, 2))
-    True
-    >>> generalized_spacing_check_h((1, 2, 3, 4), (2, 2))
-    False
-    """
-    cls = _require_symmetric(dims)
-    pairs, _ = _block_pairs(_check_even(word), cls)
-    for heads, tails in pairs:
-        bounds = sorted(k + 1 if k % 2 else k - 1 for k in heads)
-        if any(l > bound for l, bound in zip(tails, bounds)):
-            return False
-    return True
-
-
-def generalized_strictly_pairing_check_h(word: Sequence[int],
-                                         dims: Sequence[int]) -> bool:
-    """Positional strictly pairing blockwise: the i-th tail of each mirror
-    block is the successor of the i-th (odd) head, and the middle block
-    consists of (odd, odd+1) pairs.
-
-    >>> generalized_strictly_pairing_check_h((1, 3, 2, 4), (2, 2))
-    True
-    >>> generalized_strictly_pairing_check_h((1, 5, 3, 4, 2, 6), (2, 2, 2))
-    True
-    """
-    cls = _require_symmetric(dims)
-    return _strictly_pairing(*_block_pairs(_check_even(word), cls))
-
-
 def _strictly_pairing(pairs: Sequence[tuple[Word, Word]], middle: Word) -> bool:
     """The generalized strictly pairing condition on the block pairs and the
     middle block of a word."""
@@ -203,8 +185,7 @@ def _strictly_pairing_blocks(word: Sequence[int], dims: Sequence[int],
                              ) -> tuple[list[tuple[Word, Word]], Word]:
     """``_block_pairs`` of a word that passes the generalized strictly
     pairing condition; ValueError for any other word."""
-    cls = _require_symmetric(dims)
-    pairs, middle = _block_pairs(_check_even(word), cls)
+    pairs, middle = _block_pairs(_check_even(word), dims)
     if not _strictly_pairing(pairs, middle):
         raise ValueError("word fails the generalized strictly pairing condition")
     return pairs, middle

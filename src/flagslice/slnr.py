@@ -11,26 +11,27 @@ ordered set 1..n) detects those of complementary dimension meeting the
 cycle, and the intersection points are explicit flags built from
 (+-i) e_(l_i) + e_(k_i).
 
-Partial-flag variants: symmetric dimension sequences lift block-by-block to
-the complete-flag case (generalized spacing / double box, canonical
-rearrangement); asymmetric ones reduce to their symmetric model and a
-strictly-decreasing-blocks projection.  One enumerator serves every
-symmetric sequence and emits its words in lexicographic order; complete
-flags are its all-ones case: ``enumerate_gb(n)`` is
-``enumerate_measurable((1,) * n)``.
+Each condition has one function, stated block by block for a symmetric
+dimension sequence ``dims``; complete flags, the default ``dims``, are the
+case where every block has one letter.  Symmetric sequences lift to the
+complete-flag case by a canonical rearrangement; asymmetric ones reduce to
+their symmetric model and a strictly-decreasing-blocks projection.  One
+enumerator serves every symmetric sequence and emits its words in
+lexicographic order; complete flags are its all-ones case:
+``enumerate_gb(n)`` is ``enumerate_measurable((1,) * n)``.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from . import _lazy
-from .permutations import (Dims, SymmetryClassification, Word, blocks,
-                           check_dims, check_word, classify_symmetry,
-                           inversion_length, minimal_coset_representative,
-                           prefix_sums)
+from .permutations import (Dims, SymmetryClassification, Word, check_dims,
+                           check_word, classify_symmetry, inversion_length,
+                           minimal_coset_representative, prefix_sums)
 
 flags = _lazy("flags")
 
@@ -60,21 +61,30 @@ def kl_split(word: Sequence[int]) -> KlSplit:
     return KlSplit(k, l, middle)
 
 
-def spacing_check(word: Sequence[int]) -> bool:
-    """l_i < k_i for every head/tail pair.
+def spacing_check(word: Sequence[int], dims: Sequence[int] | None = None) -> bool:
+    """Per symmetric block pair, the tail block admits an arrangement with
+    l_i < k_i throughout; decided by the sorted elementwise comparison.  On
+    complete flags (``dims`` None) that is l_i < k_i for every head/tail
+    pair of ``kl_split(word)``.
 
     >>> spacing_check((2, 6, 5, 4, 3, 1))
     True
     >>> spacing_check((2, 6, 1, 5, 3, 4))
     False
+    >>> spacing_check((2, 4, 1, 3), (2, 2))
+    True
+    >>> spacing_check((1, 2, 3, 4), (2, 2))
+    False
     """
-    split = kl_split(word)
-    return all(l < k for k, l in zip(split.k, split.l))
+    pairs, _ = _block_pairs(word, dims)
+    return all(l < k for heads, tails in pairs for k, l in zip(heads, tails))
 
 
-def double_box_check(word: Sequence[int]) -> bool:
-    """True iff each tail l_i is the immediate predecessor of its head k_i in
-    the ordered set 1..n with earlier pairs removed.
+def double_box_check(word: Sequence[int], dims: Sequence[int] | None = None) -> bool:
+    """Block-by-block double box contraction: block pair j must consist of
+    disjoint pairs (l, k) with l the immediate predecessor of k in the
+    ordered set 1..n with earlier block pairs removed.  On complete flags
+    (``dims`` None) each tail l_i is the predecessor of its head k_i.
 
     >>> double_box_check((2, 5, 6, 3, 4, 1))
     True
@@ -82,18 +92,12 @@ def double_box_check(word: Sequence[int]) -> bool:
     False
     >>> double_box_check((2, 4, 3, 1))
     True
+    >>> double_box_check((5, 7, 2, 3, 8, 1, 4, 6), (2, 1, 2, 1, 2))
+    True
+    >>> double_box_check((1, 2, 3, 4), (2, 2))
+    False
     """
-    split = kl_split(word)
-    residual = list(range(1, len(word) + 1))
-    for k, l in zip(split.k, split.l):
-        if k not in residual or l not in residual:
-            return False
-        idx = residual.index(k)
-        if idx == 0 or residual[idx - 1] != l:
-            return False
-        residual.remove(k)
-        residual.remove(l)
-    return True
+    return _contracts(_block_pairs(word, dims)[0], len(word))
 
 
 def cycle_dimension_gb(n: int) -> int:
@@ -187,47 +191,31 @@ def _require_symmetric(dims: Sequence[int]) -> SymmetryClassification:
     return cls
 
 
-def _block_pairs(word: Sequence[int], cls: SymmetryClassification,
-                 ) -> tuple[list[tuple[Word, Word]], Word]:
-    """Symmetric block pairs (B_j, mirror B_j), each sorted, plus the middle
-    block (empty for the d shape)."""
-    blks = [tuple(sorted(b)) for b in blocks(word, cls.parts)]
+@cache
+def _block_spans(dims: Dims) -> tuple[int, tuple[tuple[slice, slice], ...], slice]:
+    """What ``_block_pairs`` needs of a symmetric ``dims``, made once per
+    ``dims``: its sum, the slices of each block and its mirror block, and
+    the slice of the middle block (empty for the d shape)."""
+    cls = _require_symmetric(dims)
+    spans = [slice(end - d, end) for d, end in zip(dims, prefix_sums(dims))]
     s = len(cls.core)
-    pairs = [(blks[j], blks[len(blks) - 1 - j]) for j in range(s)]
-    middle = blks[s] if cls.kind == "symmetric-e" else ()
-    return pairs, middle
+    middle = spans[s] if cls.kind == "symmetric-e" else slice(0, 0)
+    return sum(dims), tuple((spans[j], spans[-1 - j]) for j in range(s)), middle
 
 
-def generalized_spacing_check(word: Sequence[int], dims: Sequence[int]) -> bool:
-    """Per symmetric block pair, the tail block admits an arrangement with
-    l_i < k_i throughout; decided by the sorted elementwise comparison.
-
-    >>> generalized_spacing_check((2, 4, 1, 3), (2, 2))
-    True
-    >>> generalized_spacing_check((1, 2, 3, 4), (2, 2))
-    False
-    """
-    cls = _require_symmetric(dims)
-    pairs, _ = _block_pairs(word, cls)
-    for heads, tails in pairs:
-        if any(l >= k for k, l in zip(heads, tails)):
-            return False
-    return True
-
-
-def generalized_double_box_check(word: Sequence[int], dims: Sequence[int]) -> bool:
-    """Block-by-block double box contraction: block pair j must consist of
-    disjoint pairs (l, k) with l the immediate predecessor of k in the
-    ordered set with earlier block pairs removed.
-
-    >>> generalized_double_box_check((5, 7, 2, 3, 8, 1, 4, 6), (2, 1, 2, 1, 2))
-    True
-    >>> generalized_double_box_check((1, 2, 3, 4), (2, 2))
-    False
-    """
-    cls = _require_symmetric(dims)
-    pairs, _ = _block_pairs(word, cls)
-    return _contracts(pairs, len(word))
+def _block_pairs(word: Sequence[int], dims: Sequence[int] | None,
+                 ) -> tuple[list[tuple[Word, Word]], Word]:
+    """Symmetric block pairs (B_j, mirror B_j) of a word, each sorted, plus
+    the middle block (empty for the d shape); ``dims`` None means complete
+    flags.  ValueError for a word that is not a permutation, or a ``dims``
+    that is not symmetric or does not sum to the word's length."""
+    word = check_word(word)
+    dims = (1,) * len(word) if dims is None else tuple(dims)
+    n, spans, middle = _block_spans(dims)
+    if n != len(word):
+        raise ValueError(f"dimension sequence {dims} does not match word length {len(word)}")
+    pairs = [(tuple(sorted(word[a])), tuple(sorted(word[b]))) for a, b in spans]
+    return pairs, tuple(sorted(word[middle]))
 
 
 def _contracts(pairs: Sequence[tuple[Word, Word]], n: int) -> bool:
@@ -265,22 +253,16 @@ def canonical_rearrangement(word: Sequence[int], dims: Sequence[int]) -> Word:
     >>> canonical_rearrangement((2, 4, 1, 3), (2, 2))
     (2, 4, 3, 1)
     """
-    cls = _require_symmetric(dims)
-    pairs, middle = _block_pairs(word, cls)
+    pairs, middle = _block_pairs(word, dims)
     if not _contracts(pairs, len(word)):
         raise ValueError("word fails the generalized double box contraction")
-    front = [heads for heads, _ in pairs]
-    back = [tuple(reversed(tails)) for _, tails in pairs]
-    rotated = ()
-    if cls.kind == "symmetric-e":
-        shift = (len(middle) + 1) // 2
-        rotated = middle[shift:] + middle[:shift]
+    shift = (len(middle) + 1) // 2
     out: list[int] = []
-    for blk in front:
-        out.extend(blk)
-    out.extend(rotated)
-    for blk in reversed(back):
-        out.extend(blk)
+    for heads, _ in pairs:
+        out.extend(heads)
+    out.extend(middle[shift:] + middle[:shift])
+    for _, tails in reversed(pairs):
+        out.extend(reversed(tails))
     return tuple(out)
 
 

@@ -11,7 +11,9 @@ torus.  The pairing condition (n-i+1 left of i) detects Schubert varieties
 meeting some open orbit; the strictly pairing condition (pairs placed
 adjacently, ignoring earlier pairs, singles increasing) detects the
 complementary-dimension ones.  Each such variety meets exactly 2^q open
-orbits, once each, in a coordinate flag.
+orbits, once each, in a coordinate flag.  The pairing condition has one
+function, stated block by block for a dimension sequence ``dims``; complete
+flags, the default ``dims``, are the case where every block has one letter.
 
 Two walks build the words, each in lexicographic order without a sort.
 ``enumerate_i_pq`` inserts the pairs one at a time, innermost first, into
@@ -179,20 +181,26 @@ def gamma_i_word(word: Sequence[int], p: int, q: int) -> Word:
     return tuple(gamma_i(v, p, q) for v in check_word(word))
 
 
-def pairing_check(word: Sequence[int], p: int, q: int) -> bool:
-    """n-i+1 sits left of i for every i <= q.
+def pairing_check(word: Sequence[int], p: int, q: int,
+                  dims: Sequence[int] | None = None) -> bool:
+    """The block of n-i+1 is not right of the block of i, for every i <= q:
+    rearrangements inside blocks can then move n-i+1 left of i.  On complete
+    flags (``dims`` None) that is n-i+1 sitting left of i.
 
     >>> pairing_check((6, 1, 5, 2, 3, 4), 4, 2)
     True
     >>> pairing_check((1, 6, 5, 2, 3, 4), 4, 2)
     False
+    >>> pairing_check((3, 4, 1, 5, 6, 2), 4, 2, (1, 1, 3, 1))
+    True
     """
     word = check_word(word)
     n = p + q
     if len(word) != n:
         raise ValueError("word length must be p + q")
-    pos = {v: idx for idx, v in enumerate(word)}
-    return all(pos[n - i + 1] < pos[i] for i in range(1, q + 1))
+    parts = blocks(word, (1,) * n if dims is None else dims)
+    block_of = {v: j for j, block in enumerate(parts) for v in block}
+    return all(block_of[n - i + 1] <= block_of[i] for i in range(1, q + 1))
 
 
 def strictly_pairing_check_su(word: Sequence[int], p: int, q: int) -> bool:
@@ -436,20 +444,6 @@ def fixed_points_in_cycle_count(p: int, q: int) -> int:
 
 
 # -- partial flags ---------------------------------------------------------------
-
-
-def generalized_pairing_check(word: Sequence[int], dims: Sequence[int],
-                              p: int, q: int) -> bool:
-    """Blockwise pairing feasibility: rearrangements inside blocks can move
-    n-i+1 left of i exactly when its block is not strictly to the right.
-
-    >>> generalized_pairing_check((3, 4, 1, 5, 6, 2), (1, 1, 3, 1), 4, 2)
-    True
-    """
-    n = p + q
-    block_of = {v: j for j, block in enumerate(blocks(check_word(word), dims))
-                for v in block}
-    return all(block_of[n - i + 1] <= block_of[i] for i in range(1, q + 1))
 
 
 def _orbit_rows(desc: OrbitDescriptor, row: Callable[[Word, list[int]], object]) -> list:

@@ -309,10 +309,9 @@ def test_criterion_5_oracle_equivalence():
         checks.check_points_slnr(range(2, 7)),
         checks.check_points_slmh(range(1, 4)),
         checks.check_points_supq(((2, 1), (2, 2), (3, 2))),
-        checks.check_sampling_slnr(range(2, 7), seed=0, samples=20, escalation=100),
-        checks.check_sampling_slmh(range(1, 4), seed=0, samples=20, escalation=100),
-        checks.check_sampling_supq(((2, 1), (2, 2), (3, 2)), seed=0,
-                                   samples=20, escalation=100),
+        checks.check_sampling_slnr(range(2, 7), seed=0, samples=20),
+        checks.check_sampling_slmh(range(1, 4), seed=0, samples=20),
+        checks.check_sampling_supq(((2, 1), (2, 2), (3, 2)), seed=0, samples=20),
     ]
     elapsed = time.monotonic() - start
     failures = [r for r in results if not r.passed]

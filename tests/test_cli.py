@@ -769,7 +769,7 @@ def test_verify_reports_corrupted_predicate(monkeypatch, capsys):
         return healthy(word)
 
     monkeypatch.setattr(slnr, "spacing_check", corrupted)
-    result = checks.check_sampling_slnr(n_values=(6,), samples=5, escalation=10)
+    result = checks.check_sampling_slnr(n_values=(6,), samples=5)
     assert not result.passed
     assert "2 5 6 3 4 1" in result.detail
 

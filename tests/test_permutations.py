@@ -110,18 +110,20 @@ def test_inversion_length_is_the_pairwise_count(word):
         1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
 
 
-@given(long_words, st.data(), st.sampled_from([None, True, False]))
+@given(long_words, st.data(), st.booleans())
 def test_word_texts_are_the_str_joins(word, data, compact):
     n = len(word)
     assert word_text(word) == " ".join(str(v) for v in word)
-    joiner = "" if (n <= 9 if compact is None else compact) else " "
-    assert format_word(word, compact=compact) == joiner.join(str(v) for v in word)
+    joiner = "" if n <= 9 else " "
+    assert format_word(word) == joiner.join(str(v) for v in word)
     dims = data.draw(dims_of(n))
     cuts = [sum(dims[:i]) for i in range(len(dims) + 1)]
     parts = [word[a:b] for a, b in zip(cuts, cuts[1:])]
-    text = "".join("(" + joiner.join(str(v) for v in part) + ")" for part in parts)
-    assert format_word(word, dims=dims, compact=compact) == text
-    assert format_blocks(parts, joiner == "") == text
+
+    def text(joiner):
+        return "".join("(" + joiner.join(str(v) for v in part) + ")" for part in parts)
+    assert format_word(word, dims=dims) == text(joiner)
+    assert format_blocks(parts, compact) == text("" if compact else " ")
 
 
 @st.composite

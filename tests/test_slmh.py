@@ -1,7 +1,7 @@
 """Quaternionic real form: spacing/strictly pairing, the m! bijection,
 single intersection points, measurable and non-measurable partial flags."""
 
-from itertools import permutations as iter_permutations
+from itertools import chain, permutations as iter_permutations
 from math import factorial
 
 import pytest
@@ -11,6 +11,7 @@ from flagslice.geometry import (is_isotropic_flag, is_tau_generic,
                                 iwasawa_reference_h, schubert_cell_membership,
                                 symplectic_omega)
 from flagslice.permutations import inversion_length, ordered_partitions, prefix_sums
+from flagslice.slnr import kl_split
 
 
 def test_spacing_examples():
@@ -83,24 +84,35 @@ def test_intersection_point_examples():
         slmh.intersection_point_h((3, 2, 5, 6, 1, 4))
 
 
-def test_generalized_spacing_examples():
-    assert slmh.generalized_spacing_check_h((1, 3, 2, 4), (2, 2))
-    assert not slmh.generalized_spacing_check_h((1, 2, 3, 4), (2, 2))
-    for m in (1, 2, 3):
-        n = 2 * m
-        for word in iter_permutations(range(1, n + 1)):
-            assert slmh.generalized_spacing_check_h(word, (1,) * n) == \
-                slmh.spacing_check_h(word)
+def _complete_words():
+    """Every permutation with n <= 7 that slmh takes: n even."""
+    return chain.from_iterable(iter_permutations(range(1, n + 1)) for n in (2, 4, 6))
 
 
-def test_generalized_strictly_pairing_examples():
-    assert slmh.generalized_strictly_pairing_check_h((1, 3, 2, 4), (2, 2))
-    assert not slmh.generalized_strictly_pairing_check_h((1, 2, 3, 4), (2, 2))
-    for m in (1, 2, 3):
-        n = 2 * m
-        for word in iter_permutations(range(1, n + 1)):
-            assert slmh.generalized_strictly_pairing_check_h(word, (1,) * n) == \
-                slmh.strictly_pairing_check_h(word)
+def test_block_spacing_examples():
+    assert slmh.spacing_check_h((1, 3, 2, 4), (2, 2))
+    assert not slmh.spacing_check_h((1, 2, 3, 4), (2, 2))
+    # Complete flags against the paper's rule: l_i < k_i, or k_i odd with
+    # l_i = k_i + 1.
+    for word in _complete_words():
+        k, l, _ = kl_split(word)
+        assert slmh.spacing_check_h(word) == all(
+            l[i] < k[i] or k[i] % 2 == 1 and l[i] == k[i] + 1 for i in range(len(k))), word
+    for word, dims in (((2, 3, 1), None), ((1, 2, 3, 4), (1, 3)), ((1, 2, 3, 4), (1, 1)),
+                       ((1, 1, 2, 2), None), ((1, 1, 2, 2), (2, 2))):
+        for check in (slmh.spacing_check_h, slmh.strictly_pairing_check_h):
+            with pytest.raises(ValueError):
+                check(word, dims)
+
+
+def test_block_strictly_pairing_examples():
+    assert slmh.strictly_pairing_check_h((1, 3, 2, 4), (2, 2))
+    assert not slmh.strictly_pairing_check_h((1, 2, 3, 4), (2, 2))
+    # Complete flags against the paper's rule: k_i odd and l_i = k_i + 1.
+    for word in _complete_words():
+        k, l, _ = kl_split(word)
+        assert slmh.strictly_pairing_check_h(word) == all(
+            k[i] % 2 == 1 and l[i] == k[i] + 1 for i in range(len(k))), word
 
 
 def test_enumerate_measurable_h():
@@ -186,11 +198,11 @@ def test_enumerate_measurable_h_is_the_filtered_representatives(m):
                            ordered_partitions(tuple(range(1, n + 1)), dims))
         assert words == sorted(
             w for w in representatives
-            if slmh.generalized_strictly_pairing_check_h(w, dims)), dims
+            if slmh.strictly_pairing_check_h(w, dims)), dims
         assert all(a < b for a, b in zip(words, words[1:])), dims
 
 
-def test_generalized_spacing_matches_its_definition():
+def test_block_spacing_matches_its_definition():
     # Per block pair (block j against its mirror), some arrangement of the
     # tails must satisfy l < k or (k odd and l == k + 1) against the heads.
     def arrangeable(heads, tails):
@@ -208,7 +220,7 @@ def test_generalized_spacing_matches_its_definition():
                     cut += d
                 expected = all(arrangeable(parts[j], parts[-1 - j])
                                for j in range(len(dims) // 2))
-                assert slmh.generalized_spacing_check_h(word, dims) == expected, \
+                assert slmh.spacing_check_h(word, dims) == expected, \
                     (word, dims)
                 cases += 1
     assert cases == 2 * 2 + 4 * 24 + 8 * 720

@@ -116,24 +116,35 @@ def test_intersection_points_requires_double_box():
         slnr.intersection_points_gb((2, 6, 5, 4, 3, 1))
 
 
-def test_generalized_spacing_examples():
-    assert slnr.generalized_spacing_check((2, 4, 1, 3), (2, 2))
-    assert not slnr.generalized_spacing_check((1, 2, 3, 4), (2, 2))
-    for n in (4, 5, 6):
-        for word in iter_permutations(range(1, n + 1)):
-            assert slnr.generalized_spacing_check(word, (1,) * n) == \
-                slnr.spacing_check(word)
-    with pytest.raises(ValueError):
-        slnr.generalized_spacing_check((1, 2, 3), (2, 1))
+def _complete_words(top=7):
+    """Every permutation with n <= ``top``."""
+    return chain.from_iterable(iter_permutations(range(1, n + 1)) for n in range(1, top + 1))
 
 
-def test_generalized_double_box_examples():
-    assert slnr.generalized_double_box_check(parse_word("(57)(2)(38)(1)(46)"),
-                                             (2, 1, 2, 1, 2))
-    for n in (4, 5, 6):
-        for word in iter_permutations(range(1, n + 1)):
-            assert slnr.generalized_double_box_check(word, (1,) * n) == \
-                slnr.double_box_check(word)
+def test_block_spacing_examples():
+    assert slnr.spacing_check((2, 4, 1, 3), (2, 2))
+    assert not slnr.spacing_check((1, 2, 3, 4), (2, 2))
+    # Complete flags against the paper's rule: l_i < k_i.
+    for word in _complete_words():
+        k, l, _ = slnr.kl_split(word)
+        assert slnr.spacing_check(word) == all(l[i] < k[i] for i in range(len(k))), word
+    for word, dims in (((1, 2, 3), (2, 1)), ((1, 2, 3), (2, 2)), ((1, 1, 2), None),
+                       ((1, 1, 2), (1, 1, 1))):
+        for check in (slnr.spacing_check, slnr.double_box_check):
+            with pytest.raises(ValueError):
+                check(word, dims)
+
+
+def test_block_double_box_examples():
+    assert slnr.double_box_check(parse_word("(57)(2)(38)(1)(46)"), (2, 1, 2, 1, 2))
+    assert not slnr.double_box_check((1, 2, 3, 4), (2, 2))
+    # Complete flags against the paper's rule: l_i is the residual
+    # predecessor of k_i, the largest letter below it not in an earlier pair.
+    for word in _complete_words():
+        k, l, _ = slnr.kl_split(word)
+        assert slnr.double_box_check(word) == all(
+            l[i] == max(set(range(1, k[i])) - set(k[:i]) - set(l[:i]), default=0)
+            for i in range(len(k))), word
 
 
 def test_canonical_rearrangement_examples():
@@ -161,7 +172,7 @@ def test_enumerate_measurable_is_the_filtered_representatives(n):
         representatives = (sum(parts, ()) for parts in
                            ordered_partitions(tuple(range(1, n + 1)), dims))
         assert words == sorted(w for w in representatives
-                               if slnr.generalized_double_box_check(w, dims)), dims
+                               if slnr.double_box_check(w, dims)), dims
         assert all(a < b for a, b in zip(words, words[1:])), dims
 
 

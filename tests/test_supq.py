@@ -292,13 +292,19 @@ def test_double_counting_identity():
         assert all(count == 2 ** q for count in totals.values())
 
 
-def test_generalized_pairing_examples():
-    assert supq.generalized_pairing_check((3, 4, 1, 5, 6, 2), (1, 1, 3, 1), 4, 2)
+def test_block_pairing_examples():
+    assert supq.pairing_check((3, 4, 1, 5, 6, 2), 4, 2, (1, 1, 3, 1))
     # word with 1 strictly left of 6's block cannot be repaired
-    assert not supq.generalized_pairing_check((1, 2, 3, 4, 5, 6), (1, 1, 3, 1), 4, 2)
-    for word in iter_permutations(range(1, 5)):
-        assert supq.generalized_pairing_check(word, (1, 1, 1, 1), 2, 2) == \
-            supq.pairing_check(word, 2, 2)
+    assert not supq.pairing_check((1, 2, 3, 4, 5, 6), 4, 2, (1, 1, 3, 1))
+    # Complete flags against the paper's rule: n+1-i sits before i.
+    for n in range(1, 8):
+        for word in iter_permutations(range(1, n + 1)):
+            for q in range(n // 2 + 1):
+                assert supq.pairing_check(word, n - q, q) == all(
+                    word.index(n + 1 - i) < word.index(i) for i in range(1, q + 1)), (word, q)
+    for word, dims in (((1, 1, 2), None), ((1, 2, 3), None), ((1, 2, 3, 4), (2, 1))):
+        with pytest.raises(ValueError):
+            supq.pairing_check(word, 2, 2, dims)
 
 
 def test_grassmannian_worked_example():
