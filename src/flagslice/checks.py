@@ -152,7 +152,7 @@ def check_points_slnr(n_values=range(2, 7)) -> CheckResult:
     ``orientations`` that ``points`` prints."""
     form = bilinear_b()
     tests = (("not isotropic", lambda flag: is_isotropic_flag(flag, form)),
-             ("not generic", is_tau_generic))
+             ("not generic", tau_generic_full_flag))
 
     def row_faults(word, found, computed):
         half = 2 ** (len(word) // 2 - 1)

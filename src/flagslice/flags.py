@@ -103,8 +103,24 @@ class FlagMatrix:
                    [unit_vector(n, v - 1) for v in word])
 
     def canonical_key(self):
-        """Hashable key identifying the flag (column-span equivalence)."""
-        return (self.dims, tuple(gaussian.zcanonical(self.zcols[:d]) for d in self.dims))
+        """Hashable key identifying the flag: equal keys exactly for equal
+        ``dims`` and equal subspaces V_d at every d in ``dims``.
+
+        One forward elimination of the columns, in order, leaves the block
+        [a, b) of each level spanning W = the vectors of V_b that vanish at
+        the pivot rows of V_a.  W depends only on the flag, and V_b is the
+        sum of the W of the levels up to b, so the key lists ``dims`` and the
+        ``zcanonical`` form of each W.
+
+        >>> a = FlagMatrix(2, (1, 2), [((1, 0), (1, 0)), ((0, 0), (1, 0))])
+        >>> b = FlagMatrix(2, (1, 2), [((2, 0), (2, 0)), ((3, 0), (0, 1))])
+        >>> a.canonical_key() == b.canonical_key()
+        True
+        """
+        rows = list(self.zcols)
+        gaussian.eliminate(rows)
+        return (self.dims, tuple(gaussian.zcanonical(rows[a:b])
+                                 for a, b in zip((0,) + self.dims, self.dims)))
 
     def to_json(self) -> dict:
         """Entries as lowest-terms quads [re_num, re_den, im_num, im_den]."""

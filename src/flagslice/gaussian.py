@@ -202,9 +202,14 @@ def zsolve(basis: Sequence[Sequence[tuple[int, int]]],
 def zcanonical(vectors: Sequence[Sequence[tuple[int, int]]]) -> tuple[tuple[ZVector, int], ...]:
     """Canonical form of the span of Z[i] vectors: the fully reduced column
     echelon form with pivot entries 1, ordered by pivot row, each column as
-    ``lowest_terms`` gives it.  Equal spans give equal values."""
+    ``lowest_terms`` gives it.  Equal spans give equal values.  One vector
+    needs no elimination: it is taken over its last nonzero entry."""
     rows = list(vectors)
-    marks, (lr, li) = eliminate(rows, reduce=True)
+    if len(rows) == 1:
+        lead = next((x for x in reversed(rows[0]) if x != (0, 0)), None)
+        marks, (lr, li) = ([0], lead) if lead else ([-1], (1, 0))
+    else:
+        marks, (lr, li) = eliminate(rows, reduce=True)
     norm = lr * lr + li * li
     ordered = sorted((at, k) for k, at in enumerate(marks) if at >= 0)
     return tuple(lowest_terms([(a * lr + b * li, b * lr - a * li) for a, b in rows[k]], norm)

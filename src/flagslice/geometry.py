@@ -17,6 +17,12 @@ the flag, no orientation sign and no inertia of a Hermitian form, so every
 test here runs on the Z[i] columns alone, through the kernel in ``gaussian``.
 GaussianRational values, which do no arithmetic, appear only at the boundary.
 
+The open-orbit test ``is_tau_generic`` and the Schubert-cell test are each
+one relative-position elimination.  The base-cycle test
+``is_isotropic_flag`` is one on partial flags; on a complete flag it needs
+no elimination, as it reads the zero pattern of the Gram matrix: zero above
+the antidiagonal and nonzero on it.
+
 Everything here is exact; no floating point is ever used.
 """
 
@@ -182,13 +188,23 @@ def is_isotropic_flag(flag: FlagMatrix, form: FormSpec) -> bool:
     cycle inside the relevant open orbit.
 
     dim(V_i ∩ V_j^perp) = d_i - rank G[:d_j][:d_i], with G the Gram matrix
-    of the columns, and one elimination gives the rank of every leading
-    block: eliminate G's columns read bottom-up.  A vector pivots at its last
-    nonzero entry, which is its first nonzero row of G, so
-    rank G[:a][:b] = #{k < b : marks[k] >= n - a}.
+    of the columns c_0..c_(n-1).  On a complete flag every leading block
+    G[:j][:i] must have rank max(0, i + j - n), which holds exactly when G
+    is zero above its antidiagonal (form(c_a, c_b) = 0 for a + b <= n - 2)
+    and nonzero on it: the nonzero rows and columns of such a block meet in
+    a square block, triangular about the antidiagonal.  form(c_b, c_a) is
+    zero exactly when form(c_a, c_b) is, so only a <= b is evaluated, up to
+    the first failure.  On a partial flag one elimination gives the rank of
+    every leading block: eliminate G's columns read bottom-up.  A vector
+    pivots at its last nonzero entry, which is its first nonzero row of G,
+    so rank G[:a][:b] = #{k < b : marks[k] >= n - a}.
     """
-    n, dims = flag.n, flag.dims
-    gram = form.gram(flag.zcols)
+    n, dims, cols = flag.n, flag.dims, flag.zcols
+    if dims == tuple(range(1, n + 1)):
+        value = form.zvalue
+        return all((value(cols[a], cols[b]) == (0, 0)) == (a + b < n - 1)
+                   for a in range(n) for b in range(a, n - a))
+    gram = form.gram(cols)
     marks, _ = eliminate([[gram[r][c] for r in range(n - 1, -1, -1)] for c in range(n)])
     return all(di - sum(at >= n - dj for at in marks[:di]) == min(di, n - dj)
                for dj in dims for di in dims)

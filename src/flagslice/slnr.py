@@ -76,7 +76,7 @@ def spacing_check(word: Sequence[int], dims: Sequence[int] | None = None) -> boo
     >>> spacing_check((1, 2, 3, 4), (2, 2))
     False
     """
-    pairs, _ = _block_pairs(word, dims)
+    pairs, _ = _block_pairs(check_word(word), dims)
     return all(l < k for heads, tails in pairs for k, l in zip(heads, tails))
 
 
@@ -97,6 +97,7 @@ def double_box_check(word: Sequence[int], dims: Sequence[int] | None = None) -> 
     >>> double_box_check((1, 2, 3, 4), (2, 2))
     False
     """
+    word = check_word(word)
     return _contracts(_block_pairs(word, dims)[0], len(word))
 
 
@@ -203,14 +204,17 @@ def _block_spans(dims: Dims) -> tuple[int, tuple[tuple[slice, slice], ...], slic
     return sum(dims), tuple((spans[j], spans[-1 - j]) for j in range(s)), middle
 
 
-def _block_pairs(word: Sequence[int], dims: Sequence[int] | None,
+def _block_pairs(word: Word, dims: Sequence[int] | None,
                  ) -> tuple[list[tuple[Word, Word]], Word]:
-    """Symmetric block pairs (B_j, mirror B_j) of a word, each sorted, plus
-    the middle block (empty for the d shape); ``dims`` None means complete
-    flags.  ValueError for a word that is not a permutation, or a ``dims``
-    that is not symmetric or does not sum to the word's length."""
-    word = check_word(word)
-    dims = (1,) * len(word) if dims is None else tuple(dims)
+    """Symmetric block pairs (B_j, mirror B_j) of a word that ``check_word``
+    passed, each sorted, plus the middle block (empty for the d shape);
+    ``dims`` None means complete flags, whose blocks are single letters.
+    ValueError for a ``dims`` that is not symmetric or does not sum to the
+    word's length."""
+    if dims is None:
+        m = len(word) // 2
+        return [((word[j],), (word[-1 - j],)) for j in range(m)], word[m:len(word) - m]
+    dims = tuple(dims)
     n, spans, middle = _block_spans(dims)
     if n != len(word):
         raise ValueError(f"dimension sequence {dims} does not match word length {len(word)}")
@@ -253,6 +257,7 @@ def canonical_rearrangement(word: Sequence[int], dims: Sequence[int]) -> Word:
     >>> canonical_rearrangement((2, 4, 1, 3), (2, 2))
     (2, 4, 3, 1)
     """
+    word = check_word(word)
     pairs, middle = _block_pairs(word, dims)
     if not _contracts(pairs, len(word)):
         raise ValueError("word fails the generalized double box contraction")

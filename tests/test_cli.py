@@ -819,6 +819,30 @@ def test_verify_certifies_partial_flag_and_orbit_lengths(monkeypatch, module, na
     assert all(row in failed and "wrong length" in failed[row] for row in rows), failed
 
 
+def test_verify_runs_every_oracle_predicate(monkeypatch):
+    # A predicate that no check calls any more certifies nothing: count the
+    # calls of each oracle function that checks imports, and of canonical_key.
+    calls = {}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    oracle = {name: value for name, value in vars(checks).items()
+              if callable(value) and getattr(value, "__module__", "") == geometry.__name__}
+    for name, value in oracle.items():
+        calls[name] = 0
+        monkeypatch.setattr(checks, name, counted(name, value))
+    calls["canonical_key"] = 0
+    monkeypatch.setattr(geometry.FlagMatrix, "canonical_key",
+                        counted("canonical_key", geometry.FlagMatrix.canonical_key))
+    assert all(result.passed for result in checks.full_suite(seed=0, samples=1))
+    assert {"is_isotropic_flag", "is_tau_generic", "tau_generic_full_flag"} <= set(oracle)
+    assert all(calls.values()), calls
+
+
 def test_verify_seed_stability():
     a = checks.check_sampling_slnr(n_values=(4,), seed=5)
     b = checks.check_sampling_slnr(n_values=(4,), seed=5)

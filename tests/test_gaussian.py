@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from flagslice.gaussian import (GQ, I, GaussianRational, _divide_exact,
                                 det, eliminate, gmul, gq_vector, inertia, pivot_rows,
-                                rank, solve_columns, subspace_canonical, zdet)
+                                rank, solve_columns, subspace_canonical, zcanonical, zdet)
 from flagslice.geometry import FlagMatrix, signature
 
 scalars = st.builds(
@@ -109,6 +109,12 @@ def test_subspace_canonical_identifies_spans():
     c = [gq_vector((1, 0, 0)), gq_vector((0, 1, 1))]
     assert subspace_canonical(a) == subspace_canonical(b)
     assert subspace_canonical(a) != subspace_canonical(c)
+
+
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=5))
+def test_one_vector_canonical_form_is_the_eliminated_one(vec):
+    # One vector skips the elimination; beside a zero vector it takes it.
+    assert zcanonical([tuple(vec)]) == zcanonical([tuple(vec), ((0, 0),) * len(vec)])
 
 
 # -- properties of the Z[i] kernel behind the adapters ---------------------------

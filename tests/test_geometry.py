@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flagslice import flags, gaussian, geometry, slmh, slnr
+from flagslice import flags, forms, gaussian, geometry, slmh, slnr
 from flagslice.gaussian import GQ, I, clear, gmul, gq_of, gq_vector, prefix_ranks, zsolve
 from flagslice.geometry import (FlagMatrix, bilinear_b, conjugation, hermitian_h,
                                 in_base_cycle_su, in_open_orbit_su, is_isotropic_flag,
@@ -19,6 +19,7 @@ from flagslice.geometry import (FlagMatrix, bilinear_b, conjugation, hermitian_h
                                 random_cell_sample, schubert_cell_membership,
                                 signature, standard_reference, symplectic_omega,
                                 tau_generic_full_flag, unit_vector)
+from flagslice.permutations import classify_symmetry
 
 entries = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 cleared_vectors = st.builds(lambda v, den: clear(gq_of(v, den))[0],
@@ -76,6 +77,80 @@ def test_flag_equality_is_span_equality():
     assert a.canonical_key() == b.canonical_key()
     c = _flag((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert a.canonical_key() != c.canonical_key()
+
+
+def _form_points(n):
+    """The intersection points that ``points`` prints for the complete flags
+    of every form on C^n."""
+    reqs = [forms.Request("slnr", n=n)]
+    reqs += [forms.Request("slmh", n=n)] if n % 2 == 0 else []
+    reqs += [forms.Request("supq", p=n - q, q=q) for q in range(1, n // 2 + 1)]
+    for req in reqs:
+        for _, found, _ in forms.points(req)[2]:
+            yield from found
+
+
+def _symmetric_projections(flag):
+    """The flag coarsened to every symmetric dimension sequence."""
+    for cuts in _coarsenings(flag):
+        sizes = [b - a for a, b in zip((0,) + cuts.dims, cuts.dims)]
+        if classify_symmetry(sizes).is_symmetric:
+            yield cuts
+
+
+def _recombined(flag, changes):
+    """The flag with each column p of ``changes`` replaced by the Z[i]
+    combination ``changes[p]`` of the old columns; None if the new columns
+    are dependent."""
+    n, cols = flag.n, list(flag.zcols)
+    for p, coeffs in changes.items():
+        col = [(0, 0)] * n
+        for coeff, old in zip(coeffs, flag.zcols):
+            col = [(a + x, b + y) for (a, b), (x, y) in
+                   zip(col, (gmul(coeff, entry) for entry in old))]
+        cols[p] = tuple(col)
+    return FlagMatrix(n, flag.dims, cols) if prefix_ranks(cols)[-1] == n else None
+
+
+def _rebased(flag, rng):
+    """The flag on random new Z[i] columns: column j combines the columns of
+    its own block and of the blocks before it, and the new columns are
+    independent, so every subspace of the flag stays the same."""
+    n = flag.n
+    block_ends = [next(end for end in flag.dims if end > j) for j in range(n)]
+    while True:
+        copy = _recombined(flag, {j: [(rng.randint(-1, 1), rng.randint(-1, 1)) if k < end
+                                      else (0, 0) for k in range(n)]
+                                  for j, end in enumerate(block_ends)})
+        if copy is not None:
+            return copy
+
+
+def _prefix_span_key(flag):
+    """The flag's identity by definition: the canonical span of each prefix."""
+    return flag.dims, tuple(gaussian.zcanonical(flag.zcols[:d]) for d in flag.dims)
+
+
+def test_canonical_key_is_the_flag_up_to_block_triangular_bases():
+    rng = random.Random(20)
+    corpus = []
+    for n in range(1, 7):
+        flags_n = list(_form_points(n))
+        if n <= 4:
+            reference = standard_reference(n)
+            flags_n += [random_cell_sample(word, reference, seed)
+                        for word in permutations(range(1, n + 1)) for seed in (1, 2)]
+        projections = [flag.dims for flag in _symmetric_projections(standard_reference(n))]
+        for flag in flags_n:
+            for dims in (flag.dims, rng.choice(projections)):
+                partial = FlagMatrix(n, dims, flag.zcols, flag.dens)
+                rebased = _rebased(partial, rng)
+                assert rebased.canonical_key() == partial.canonical_key()
+                corpus += [partial, rebased]
+    keys = [flag.canonical_key() for flag in corpus]
+    spans = [_prefix_span_key(flag) for flag in corpus]
+    # Both partitions of the corpus are the same, and not every class is a singleton.
+    assert len(set(keys)) == len(set(spans)) == len(set(zip(keys, spans))) < len(corpus) // 2
 
 
 def test_quaternion_conjugation_action():
@@ -278,11 +353,23 @@ def test_cell_sample_equals_the_dense_cell_sample():
 
 
 def test_fast_generic_test_agrees_with_definition():
-    reference = standard_reference(4)
-    for word in ((2, 4, 3, 1), (1, 2, 3, 4), (3, 4, 1, 2), (4, 2, 1, 3)):
-        for seed in range(6):
-            flag = random_cell_sample(word, reference, seed)
-            assert tau_generic_full_flag(flag) == is_tau_generic(flag)
+    # verify certifies the slnr points through tau_generic_full_flag.
+    cases = [(point, "real-conjugation") for n in range(2, 7)
+             for word in slnr.enumerate_gb(n) for point in slnr.intersection_points_gb(word)]
+    cases += [(slmh.intersection_point_h(word), "quaternion-j")
+              for m in range(1, 4) for word in slmh.enumerate_gb_h(m)]
+    for n in range(1, 6):
+        references = [("real-conjugation", standard_reference(n))]
+        references += [("quaternion-j", iwasawa_reference_h(n // 2))] if n % 2 == 0 else []
+        cases += [(random_cell_sample(word, reference, seed), conj)
+                  for conj, reference in references
+                  for word in permutations(range(1, n + 1)) for seed in range(3)]
+    seen = {True: 0, False: 0}
+    for flag, conj in cases:
+        fast = tau_generic_full_flag(flag, conj)
+        assert fast == is_tau_generic(flag, conj), (flag, conj)
+        seen[fast] += 1
+    assert seen[True] and seen[False], seen
 
 
 def test_sampling_hits_generic_locus_with_high_probability():
@@ -385,6 +472,96 @@ def test_predicates_match_their_per_level_definitions():
                 assert is_isotropic_flag(flag, form) == expected, (flag, form)
                 seen[expected] += 1
     assert seen[True] and seen[False], seen
+
+
+def _isotropic_by_ranks(flag, form):
+    """``is_isotropic_flag`` by its definition, from the rank of every
+    leading block of the Gram matrix."""
+    rank = _block_ranks([[form.zvalue(u, v) for v in flag.zcols] for u in flag.zcols])
+    levels = [(di, dj) for dj in flag.dims for di in flag.dims]
+    return all(di - rank[dj][di] == min(di, flag.n - dj) for di, dj in levels)
+
+
+def _pattern_faults(flag, form):
+    """The pairs a <= b where the Gram matrix of a complete flag leaves the
+    isotropic pattern: nonzero above the antidiagonal or zero on it."""
+    n, cols = flag.n, flag.zcols
+    return [(a, b) for a in range(n) for b in range(a, n - a)
+            if (form.zvalue(cols[a], cols[b]) == (0, 0)) != (a + b < n - 1)]
+
+
+def _nonzero_above(flag, form, a, b):
+    """A copy of an isotropic complete flag whose Gram pattern fails only at
+    (a, b), a + b <= n - 2, which is nonzero there; None if no column p in
+    (a, b) can do it alone.  The new column p is d c_p + t u, where
+    form(c_x, u) is d for x the other of (a, b) and 0 for every other column
+    x, so that of the Gram entries of column p only those with that column
+    and with itself change."""
+    n = flag.n
+    gram = form.gram(flag.zcols)
+    for p, o in ((b, a), (a, b)):
+        (dual,), d = zsolve([[row[k] for row in gram] for k in range(n)], [unit_vector(n, o)])
+        for t in ((1, 0), (2, 0), (3, 0)):
+            coeffs = [gmul(t, y) for y in dual]
+            coeffs[p] = tuple(map(sum, zip(coeffs[p], d)))
+            copy = _recombined(flag, {p: coeffs})
+            if copy is not None and _pattern_faults(copy, form) == [(a, b)]:
+                return copy
+    return None
+
+
+def _zero_on(flag, form, a, b):
+    """A copy of an isotropic complete flag whose Gram pattern fails at
+    (a, b), a + b = n - 1 and a < b, which is zero there, and at one pair
+    above the antidiagonal: the fewest faults a nonsingular Gram can have
+    with a zero on its antidiagonal.  Column a becomes c_a + c_j (or stays)
+    and column b becomes x c_b + y c_k with form(c_a, c_b) = 0 on the new
+    columns, j = b last as it moves the most entries; None if no j and k
+    do it."""
+    n = flag.n
+    gram = form.gram(flag.zcols)
+    for j in [a] + [x for x in range(n) if x not in (a, b)] + [b]:
+        moved = [(int(x in (a, j)), 0) for x in range(n)]
+        row = [tuple(map(sum, zip(*(gram[x][y] for x in {a, j})))) for y in range(n)]
+        for k in range(n):
+            if k == b or row[k] == (0, 0):
+                continue
+            coeffs = [(0, 0)] * n
+            coeffs[b], coeffs[k] = row[k], (-row[b][0], -row[b][1])
+            copy = _recombined(flag, {a: moved, b: coeffs})
+            faults = _pattern_faults(copy, form) if copy else []
+            if (a, b) in faults and len(faults) == 2 and sum(faults[0]) < n - 1:
+                return copy
+    return None
+
+
+def test_closed_isotropy_test_on_nearly_isotropic_flags():
+    # From each point, one copy whose Gram matrix is nonzero at one entry
+    # above the antidiagonal, one where one antidiagonal entry vanishes (and,
+    # as the Gram of a basis is nonsingular, one entry above it is nonzero),
+    # and the point itself, each under every form; the faults take turns.
+    points = [(point, bilinear_b()) for n in range(2, 7) for word in slnr.enumerate_gb(n)
+              for point in slnr.intersection_points_gb(word)]
+    points += [(slmh.intersection_point_h(word), symplectic_omega(m))
+               for m in range(1, 4) for word in slmh.enumerate_gb_h(m)]
+    for index, (point, own) in enumerate(points):
+        n = point.n
+        above = [(a, b) for a in range(n) for b in range(a, n - 1 - a)
+                 if a < b or own.kind != "symplectic-omega"]
+        on = [(a, n - 1 - a) for a in range(n // 2)]
+        copies = [(point, True)]
+        for targets, breaking in ((above, _nonzero_above), (on, _zero_on)):
+            k = index % max(len(targets), 1)
+            turn = targets[k:] + targets[:k]
+            copy = next(filter(None, (breaking(point, own, a, b) for a, b in turn)), None)
+            # omega vanishes on the diagonal, the one entry above it at n = 2
+            assert copy is not None or (n, own.kind) == (2, "symplectic-omega"), point
+            copies += [(copy, False)] if copy is not None else []
+        for flag, isotropic in copies:
+            assert is_isotropic_flag(flag, own) == _isotropic_by_ranks(flag, own) == isotropic
+            for form in _forms(n):
+                assert is_isotropic_flag(flag, form) == _isotropic_by_ranks(flag, form), \
+                    (flag, form)
 
 
 # -- the Iwasawa condition b + k_C = gl(n) at each reference flag ---------------
