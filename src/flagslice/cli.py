@@ -189,7 +189,8 @@ def _request(args) -> forms.Request:
         _require(dims in (None, desc.dims), "--orbit block counts disagree with --dims")
         orbit, dims = supq.sign_sequence_of(desc), desc.dims
     req = forms.Request(args.form, n=args.n, p=args.p, q=args.q, dims=dims, orbit=orbit)
-    if args.command != "count":
+    # ``count`` enumerates only a request with no closed count.
+    if args.command != "count" or forms.closed_count(req) is None:
         forms.check_size(req, points=args.command == "points")
     return req
 
@@ -332,13 +333,15 @@ def _write(args, chunks: Iterator[str]) -> None:
             for chunk in chunks:
                 write(chunk)
             sys.stdout.flush()
-        except BrokenPipeError:
+        except OSError as exc:
             # As the Python docs' note on SIGPIPE advises: point stdout at
             # devnull, so that the interpreter's flush at exit stays quiet.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            raise
+            if isinstance(exc, BrokenPipeError):
+                raise
+            raise ConfigError(f"cannot write the output: {exc}") from None
         return
     try:
         with open(args.out, "w", encoding="utf-8") as handle:

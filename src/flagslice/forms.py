@@ -171,7 +171,8 @@ def printable_digits() -> int:
 
 # The command line writes each row as it is built, but builds the word list
 # of a request whole, so it refuses a request with a closed count over its
-# budget before anything is enumerated.  A word of n letters is a tuple of n
+# budget, or with asymmetric dims whose symmetric model's count is over it,
+# before anything is enumerated.  A word of n letters is a tuple of n
 # ints and prints as about 9 bytes per letter, and a flag prints about 110
 # bytes of JSON per entry of its n x n matrix, so the budgets count the
 # letters of the words and the entries of the flags: MAX_LETTERS is a
@@ -195,14 +196,22 @@ MAX_ENTRIES = 3_200_000
 def check_size(req: Request, points: bool = False) -> None:
     """Raise ValueError when the letters of a request's words, or the
     entries of their intersection flags when ``points`` is set, exceed
-    their budget."""
+    their budget.  Asymmetric ``dims`` have no closed count: their words
+    come from the words of their symmetric model, so the model's closed
+    count bounds them.  supq orbits are not checked."""
     total, digits = closed_count(req), printable_digits()
-    # slnr points of partial flags are refused by ``points`` with its own message.
-    if total is None or points and req.form == "slnr" and not req.complete:
+    # Points of slnr partial flags and of asymmetric slmh dims are refused by
+    # ``points`` with its own messages.
+    if req.orbit is not None or points and (total is None or req.form == "slnr"
+                                            and not req.complete):
         return
     # A number past the cap is a lower bound (the count stops there), too long to print.
     text = lambda v: str(v) if not digits or v < 10 ** digits else f"at least 10^{digits}"
-    n = req.size
+    n, source = req.size, ""
+    if total is None:
+        model = slnr.measurable_model(req.dims).dhat
+        total = closed_count(req._replace(dims=model))
+        source = f" in the symmetric model {format_dims(model)}"
     if points:
         per_word = (2 ** (req.n // 2) if req.form == "slnr"
                     else 2 ** req.q if req.form == "supq" else 1)
@@ -212,7 +221,7 @@ def check_size(req: Request, points: bool = False) -> None:
                              f"({text(found * n * n)} in all) exceed the limit of "
                              f"{MAX_ENTRIES} entries per request")
     elif total * n > MAX_LETTERS:
-        raise ValueError(f"{text(total)} words of {n} letters ({text(total * n)} in all) "
+        raise ValueError(f"{text(total)} words of {n} letters{source} ({text(total * n)} in all) "
                          f"exceed the limit of {MAX_LETTERS} letters per request")
 
 

@@ -172,14 +172,17 @@ def is_tau_generic(flag: FlagMatrix, conj: str = "real-conjugation") -> bool:
 
 def tau_generic_full_flag(flag: FlagMatrix, conj: str = "real-conjugation") -> bool:
     """Fast genericity test for complete flags: conj(V_j) + V_(n-j) = C^n for
-    j <= n/2 suffices, which needs only floor(n/2) rank computations."""
+    j <= n/2 suffices.  With the marks of ``is_tau_generic``, that is no
+    mark below n - j among the first j, so one elimination of the
+    coordinates of the first floor(n/2) conjugated columns alone decides
+    every j: their marks must be n-1, n-2, ..., n - floor(n/2)."""
     if flag.dims != tuple(range(1, flag.n + 1)):
         return is_tau_generic(flag, conj)
     cmap = conjugation(conj)
     n = flag.n
-    conj_cols = [cmap(c) for c in flag.zcols[:n // 2]]
-    return all(prefix_ranks(conj_cols[:j] + list(flag.zcols[:n - j]))[-1] == n
-               for j in range(1, n // 2 + 1))
+    coords, _ = zsolve(flag.zcols, [cmap(c) for c in flag.zcols[:n // 2]])
+    marks, _ = eliminate(coords)
+    return marks == list(range(n - 1, n - 1 - n // 2, -1))
 
 
 def is_isotropic_flag(flag: FlagMatrix, form: FormSpec) -> bool:

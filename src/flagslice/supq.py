@@ -15,14 +15,16 @@ orbits, once each, in a coordinate flag.  The pairing condition has one
 function, stated block by block for a dimension sequence ``dims``; complete
 flags, the default ``dims``, are the case where every block has one letter.
 
-Two walks build the words, each in lexicographic order without a sort.
-``enumerate_i_pq`` inserts the pairs one at a time, innermost first, into
-every gap of the words of the level below, and emits each level by a
+Two walks build the words.  ``enumerate_i_pq`` inserts the pairs one at a
+time, from pair q down to pair 1, into every gap of the words of the level
+below, and emits each level in lexicographic order without a sort, by a
 post-order walk over the level below read as a trie.  The orbit walk
-(``_fill_pairs``) fills an orbit's free slots one by one, each pair on a
-minus and a plus slot, for ``words_for_orbit`` and
-``enumerate_for_orbit_gp``, which reads the intersection point off the
-filled word.  The tests check each walk against the other.
+(``_orbit_rows``) places an orbit's pairs as the strictly pairing
+condition states them, pair 1 first, each on two neighbouring free slots
+of opposite sign, then the singles, and sorts the words it finds; it serves
+``words_for_orbit`` and ``enumerate_for_orbit_gp``, which reads the
+intersection point off the filled word.  The tests check each walk against
+the other.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from typing import Callable, NamedTuple, Sequence
 from . import _lazy
 from .permutations import (Dims, Word, blocks, check_word,
                            double_factorial_descending,
-                           minimal_coset_representative, prefix_sums)
+                           minimal_coset_representative, ordered_partitions,
+                           prefix_sums)
 
 flags = _lazy("flags")
 
@@ -237,104 +240,6 @@ def count_i_pq(p: int, q: int) -> int:
     return double_factorial_descending(p + q, q)
 
 
-def _fill_pairs(word: list[int], spans: Sequence[tuple[int, int, int]], first: int,
-                p: int, q: int, signs: str, emit: Callable[[], None]) -> None:
-    """The strictly pairing placement over an orbit's slots, slot by slot,
-    in lexicographic order.
-
-    ``spans`` holds one ``(start, end, f)`` per block.  The inner pairs
-    (n+1-i, i), i < ``first``, are dealt f to a block, smallest first: their
-    small letters, increasing, go on the block's first f slots and their big
-    letters, increasing, on its last f slots.  The slots between are filled
-    left to right with the pairs i = first..q and the singles q+1..p: a slot
-    closes the innermost open pair (its small letter) if its sign differs
-    from the one the pair opened on, takes the next single when no pair is
-    open, or opens a pair smaller than the innermost open one (its big
-    letter).  So pair i encloses only smaller pairs, which is pair i
-    sitting on two slots adjacent once the pairs before it are removed, the
-    two slots of a pair have opposite signs, and the singles sit outside
-    every pair.
-
-    Each slot tries its letters in increasing order, so ``emit()`` sees the
-    filled words in lexicographic order.  When the slots between a block's
-    dealt ones share one sign, as in an orbit's canonical pattern, no pair
-    opens and closes in one block, so those slots come out increasing
-    (closes, then singles, then opens) and each filled word is its own
-    minimal coset representative.
-    """
-    n = len(word)
-    last = len(spans) - 1
-    stops = [end - f for _, end, f in spans]
-    unused = list(range(first, q + 1))  # pairs not opened yet, increasing
-    stack: list[tuple[int, str]] = []  # open pairs (i, sign), innermost last
-    # Free slots of each sign from a slot on, and open pairs waiting for one.
-    spare = {sign: [0] * (n + 1) for sign in "+-"}
-    waiting = {"+": 0, "-": 0}
-    for start, end, f in reversed(spans):
-        for s in range(end - 1, start - 1, -1):
-            free = start + f <= s < end - f
-            for sign in "+-":
-                spare[sign][s] = spare[sign][s + 1] + (free and signs[s] == sign)
-    plus, minus = spare["+"], spare["-"]
-
-    def deal(j: int, inner: tuple[int, ...], single: int) -> None:
-        if j > last:
-            emit()
-            return
-        start, end, f = spans[j]
-        for chosen in combinations(inner, f):
-            word[start:start + f] = chosen
-            word[end - f:end] = [n + 1 - i for i in reversed(chosen)]
-            fill(j, start + f, tuple(i for i in inner if i not in chosen), single)
-
-    def fill(j: int, slot: int, inner: tuple[int, ...], single: int) -> None:
-        if (waiting["-"] + len(unused) > plus[slot]
-                or waiting["+"] + len(unused) > minus[slot]):
-            return  # too few slots of one sign left for the pairs
-        if j == last and not unused:
-            # The rest is forced: the open pairs close innermost first, then
-            # the singles follow.
-            tail = []
-            for top, sign in reversed(stack):
-                if sign == signs[slot + len(tail)]:
-                    return
-                tail.append(top)
-            tail += range(single, p + 1)
-            word[slot:slot + len(tail)] = tail
-            emit()
-            return
-        if slot == stops[j]:
-            deal(j + 1, inner, single)
-            return
-        here = signs[slot]
-        if stack:
-            top, sign = stack[-1]
-            if sign != here:
-                word[slot] = top
-                stack.pop()
-                waiting[sign] -= 1
-                fill(j, slot + 1, inner, single)
-                waiting[sign] += 1
-                stack.append((top, sign))
-        elif single <= p:
-            word[slot] = single
-            fill(j, slot + 1, inner, single + 1)
-        bound = stack[-1][0] if stack else q + 1
-        for at in range(len(unused) - 1, -1, -1):
-            i = unused[at]
-            if i < bound:
-                word[slot] = n + 1 - i
-                del unused[at]
-                stack.append((i, here))
-                waiting[here] += 1
-                fill(j, slot + 1, inner, single)
-                waiting[here] -= 1
-                stack.pop()
-                unused.insert(at, i)
-
-    deal(0, tuple(range(1, first)), q + 1)
-
-
 def enumerate_i_pq(p: int, q: int) -> list[Word]:
     """All words passing the strictly pairing condition, lexicographically.
 
@@ -447,38 +352,52 @@ def fixed_points_in_cycle_count(p: int, q: int) -> int:
 
 
 def _orbit_rows(desc: OrbitDescriptor, row: Callable[[Word, list[int]], object]) -> list:
-    """``row(word, filled)`` for each filled word of the orbit's placement
-    walk, in order of ``word``, its minimal coset representative.
+    """``row(word, filled)`` for each filled word of the orbit's strictly
+    pairing placement, in order of ``word``, its minimal coset
+    representative.
 
-    Per block j, min(a_j, b_j) of the innermost pairs land entirely inside
-    the block; in the canonical sign pattern its first f_j slots, which take
-    their small letters, are minus slots and its last f_j slots, which take
-    their big letters, are plus slots.  The walk puts each remaining pair on
-    a minus and a plus slot and the singles on the slots left.
+    The inner pairs (n+1-i, i), i <= F = sum min(a_j, b_j), are dealt
+    min(a_j, b_j) to block j: their small letters, increasing, go on the
+    block's first slots, which are minus slots in the canonical sign
+    pattern, and their big letters, increasing, on its last slots, which
+    are plus slots.  Then each pair i = F+1..q in turn goes on two free
+    slots of opposite sign that are neighbours once the pairs before it
+    are placed, big letter first, and the singles q+1..p take the slots
+    left, in increasing order.  No placement dead-ends: each pair takes one
+    of the q - F free minus slots and one free plus slot, so while a pair
+    is left both signs are left, and some two neighbouring free slots
+    differ in sign.
     """
-    dims = desc.dims
+    n, p, q, dims = desc.n, desc.p, desc.q, desc.dims
+    signs = sign_sequence_of(desc)
     deltas = prefix_sums(dims)
-    word = [0] * desc.n
-    rows: list = []
-    previous: Word = ()
+    spans = list(zip((0,) + deltas, deltas, desc.f))
+    first = sum(desc.f) + 1
+    word = [0] * n
+    rows: dict[Word, object] = {}
 
-    def emit() -> None:
-        nonlocal previous
-        coset = minimal_coset_representative(tuple(word), dims)
-        if coset <= previous:
-            raise AssertionError(f"two placements give one word, or words come "
-                                 f"out of order, for {desc}")
-        previous = coset
-        rows.append(row(coset, word))
+    def place(i: int, free: tuple[int, ...]) -> None:
+        if i > q:
+            for slot, single in zip(free, range(q + 1, p + 1)):
+                word[slot] = single
+            coset = minimal_coset_representative(tuple(word), dims)
+            if coset in rows:
+                raise AssertionError(f"two placements give one word for {desc}")
+            rows[coset] = row(coset, word)
+            return
+        for k in range(len(free) - 1):
+            left, right = free[k], free[k + 1]
+            if signs[left] != signs[right]:
+                word[left], word[right] = n + 1 - i, i
+                place(i + 1, free[:k] + free[k + 2:])
 
-    # Blocks next to each other that deal no pair are one run of free slots.
-    spans: list[tuple[int, int, int]] = []
-    for start, end, f in zip((0,) + deltas, deltas, desc.f):
-        if not f and spans and not spans[-1][2]:
-            start = spans.pop()[0]
-        spans.append((start, end, f))
-    _fill_pairs(word, spans, sum(desc.f) + 1, desc.p, desc.q, sign_sequence_of(desc), emit)
-    return rows
+    free = tuple(s for start, end, f in spans for s in range(start + f, end - f))
+    for dealt in ordered_partitions(range(1, first), desc.f):
+        for (start, end, f), chosen in zip(spans, dealt):
+            word[start:start + f] = chosen
+            word[end - f:end] = [n + 1 - i for i in reversed(chosen)]
+        place(first, free)
+    return [rows[coset] for coset in sorted(rows)]
 
 
 def words_for_orbit(desc: OrbitDescriptor) -> list[Word]:

@@ -427,6 +427,17 @@ def test_a_reader_closing_the_pipe_early_gets_no_traceback(argv):
     assert proc.wait() == 141
 
 
+@pytest.mark.parametrize("argv", [["count", "--form", "slnr", "--n", "4"],
+                                  ["enumerate", "--form", "slnr", "--n", "6"]])
+def test_a_full_device_on_stdout_exits_2_with_one_error_line(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "flagslice", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 2, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write the output: ")
+
+
 # The CSV header of each request type: the sorted union of its row keys.
 CSV_HEADERS = [
     (["enumerate", "--form", "slnr", "--n", "6"], "display,length,word"),
@@ -529,6 +540,10 @@ def test_streamed_requests_stay_near_the_interpreter_peak():
     ["enumerate", "--form", "supq", "--p", "12", "--q", "8", "--format", "csv"],
     ["points", "--form", "slmh", "--n", "16", "--dims", "1" + ",1" * 15],
     ["enumerate", "--form", "slnr", "--n", "16", "--dims", "1,1,1,1,1,1,1,2,1,1,1,1,1,1,1"],
+    # Asymmetric dims, bounded by the closed count of their symmetric model,
+    # the complete flags of n = 16; ``count`` enumerates such a request too.
+    ["count", "--form", "slnr", "--n", "16", "--dims", "1,1,1,1,1,1,1,1,1,1,1,1,1,1,2"],
+    ["enumerate", "--form", "slnr", "--n", "16", "--dims", "1,1,1,1,1,1,1,1,1,1,1,1,1,1,2"],
     ["homology", "--form", "slmh", "--n", "24", "--dims", "2" + ",1" * 20 + ",2"],
     ["points", "--form", "slmh", "--n", "20", "--dims", "2" + ",1" * 16 + ",2"],
     # Few words or flags, but long ones: refused by their letters or entries.
@@ -575,11 +590,14 @@ def test_size_limits_sit_between_the_measured_requests():
     assert not fits(form="slmh", n=16, points=True)
     assert fits(form="supq", p=6, q=4, points=True)
     assert not fits(form="supq", p=6, q=5, points=True)
-    # Symmetric --dims are checked by their closed count; asymmetric ones and
-    # orbits have none and are not checked.
+    # Symmetric --dims are checked by their closed count; asymmetric ones by
+    # the closed count of their symmetric model, whose words they are read
+    # from: (19, 21) by the 210 words of (19, 2, 19), the last one by those
+    # of complete flags.  Orbits are not checked.
     assert fits(form="slnr", n=40, dims=(20, 20))
     assert not fits(form="slnr", n=16, dims=(1,) * 7 + (2,) + (1,) * 7)
     assert fits(form="slnr", n=40, dims=(19, 21))
+    assert not fits(form="slnr", n=16, dims=(1,) * 14 + (2,))
     assert fits(form="supq", p=20, q=20, orbit="-+" * 20)
     # Few words or flags, but long ones: the letters of the words and the
     # entries of the flags have budgets too.

@@ -8,6 +8,7 @@ from itertools import combinations, permutations as iter_permutations, product
 import pytest
 
 from flagslice import geometry, slnr, supq
+from flagslice.flags import FlagMatrix
 from flagslice.geometry import (in_base_cycle_su, in_open_orbit_su,
                                 iwasawa_reference_su, orbit_label_su,
                                 schubert_cell_membership)
@@ -249,17 +250,29 @@ def test_enumerate_i_pq_inverts_to_the_double_box_words():
 
 
 def test_enumerate_i_pq_is_the_union_over_complete_flag_orbits():
-    # The pair insertion of ``enumerate_i_pq`` and the slot-by-slot orbit
-    # walk share no code, so this checks one walk against the other, and
-    # the sign split: each word meets some complete-flag orbit.
+    # The pair insertion of ``enumerate_i_pq`` and the pair placement of the
+    # orbit walk share no code, so this checks one walk against the other,
+    # orbit by orbit: a complete-flag orbit alpha takes, in order, the
+    # strictly pairing words whose pairs (n+1-i, i) each sit on two slots of
+    # opposite sign in alpha, so each word meets some orbit.  Each meets it
+    # in the coordinate flag of v + q for a single v, and of i on a minus
+    # slot and 2q+1-i on a plus slot for a letter of pair i.
     for n in range(1, 9):
         for q in range(0, n // 2 + 1):
             p = n - q
+            words = supq.enumerate_i_pq(p, q)
             union = set()
             for alpha in all_alphas(p, q):
-                desc = supq.orbit_from_signs(p, q, alpha)
-                union.update(word for word, _ in supq.enumerate_for_orbit_gp(desc))
-            assert supq.enumerate_i_pq(p, q) == sorted(union), (p, q)
+                split = [w for w in words if all(alpha[w.index(n + 1 - i)] != alpha[w.index(i)]
+                                                 for i in range(1, q + 1))]
+                rows = supq.enumerate_for_orbit_gp(supq.orbit_from_signs(p, q, alpha))
+                assert [word for word, _ in rows] == split, (p, q, alpha)
+                for word, flag in rows:
+                    point = [v + q if q < v <= p else min(v, n + 1 - v) if sign == "-"
+                             else 2 * q + 1 - min(v, n + 1 - v) for v, sign in zip(word, alpha)]
+                    assert flag == FlagMatrix.coordinate_flag(point), (p, q, alpha, word)
+                union.update(split)
+            assert words == sorted(union), (p, q)
 
 
 def test_orbit_from_signs_has_one_message_for_a_bad_sign_sequence():
