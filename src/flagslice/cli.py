@@ -9,11 +9,13 @@ Exit codes: 0 success, 2 configuration error, 3 verification failure,
 141 when the reader closes stdout before the output ends (``| head``), with
 nothing on stderr.
 Output depends only on the arguments and ``--seed``.  ``enumerate`` and
-``points`` write each row as soon as it is built, through ``tables``, the
-row-table writer, which only they execute; the other commands render their
-whole payload first, through ``json.dumps`` or ``csv.writer``, except that
-``homology`` splices its JSON class list into the rendered payload as one
-join.  Only ``render``'s CSV path imports ``csv``.
+``points`` write their rows a chunk at a time as they are built, through
+``tables``, the row-table writer, which only they execute: ``enumerate``
+joins each chunk's rows in one call from its words spelt in letter texts
+(``forms.word_texts``).  The other commands render their whole payload
+first, through ``json.dumps`` or ``csv.writer``, except that ``homology``
+splices its JSON class list, joined from the same spelt words, into the
+rendered payload as one join.  Only ``render``'s CSV path imports ``csv``.
 
 ``COMMANDS`` lists each command's help and options.  The parser that
 ``build_parser`` gives reads a well-formed command line from it; any other
@@ -215,8 +217,8 @@ def _word_row(word, length: int, dims) -> dict:
 
 def cmd_enumerate(args) -> int:
     req = _request(args)
-    header, texts = tables.row_texts(req, req.dims, forms.words(req), args.format)
-    _write(args, tables.table("enumerate", _config_echo(args), args.format, header, texts))
+    header, runs = tables.row_texts(req, req.dims, forms.word_texts(req), args.format)
+    _write(args, tables.table("enumerate", _config_echo(args), args.format, header, runs))
     return 0
 
 
@@ -231,19 +233,13 @@ def cmd_count(args) -> int:
 
 
 def cmd_points(args) -> int:
-    header, texts = tables.point_texts(_request(args), args.format)
-    _write(args, tables.table("points", _config_echo(args), args.format, header, texts))
+    header, runs = tables.point_texts(_request(args), args.format)
+    _write(args, tables.table("points", _config_echo(args), args.format, header, runs))
     return 0
 
 
 def cmd_homology(args) -> int:
-    req = _request(args)
-    if req.form == "supq" and req.orbit is None:
-        expansion = homology.total_cycle_class_su(req.p, req.q)
-    else:
-        expansion = homology.base_cycle_class(req.form, n=req.n, p=req.p, q=req.q,
-                                              dims=req.dims, orbit=req.orbit)
-    row = expansion.to_json()
+    row = homology.expansion_row(_request(args))
     payload = {"command": "homology", "config": _config_echo(args), "rows": [row]}
     if args.format == "csv" or not row["classes"]:
         _write_payload(args, payload)

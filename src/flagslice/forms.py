@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterator, NamedTuple
 
 from . import _lazy
-from .permutations import Dims, Word, check_dims, classify_symmetry, format_dims
+from .permutations import Dims, Word, _letter, check_dims, classify_symmetry, format_dims
 
 flags, gaussian = _lazy("flags"), _lazy("gaussian")
 slmh, slnr, supq = _lazy("slmh"), _lazy("slnr"), _lazy("supq")
@@ -90,6 +90,23 @@ def words(req: Request) -> list[Word]:
     if req.orbit is None:
         return supq.enumerate_i_pq(req.p, req.q)
     return supq.words_for_orbit(_orbit(req))
+
+
+def word_texts(req: Request) -> list[tuple[str, ...]]:
+    """``words(req)`` with each letter as its decimal text, ``tuple(map(str,
+    w))`` for each word w, in the same order: ``enumerate`` and
+    ``homology`` print these.  The enumerators of complete flags and
+    symmetric ``dims`` spell the letters as they build the words; the
+    words of asymmetric ``dims`` and of supq orbits, sorted as ints, are
+    spelt afterwards."""
+    dims = req.flag_dims
+    if req.orbit is not None or not classify_symmetry(dims).is_symmetric:
+        return [tuple(map(_letter, word)) for word in words(req)]
+    letters = [*map(_letter, range(req.size + 1))]
+    if req.form == "supq":
+        return supq.enumerate_i_pq(req.p, req.q, letters)
+    return (slnr.enumerate_measurable if req.form == "slnr"
+            else slmh.enumerate_measurable_h)(dims, letters)
 
 
 def length(req: Request) -> int:

@@ -59,3 +59,12 @@ def total_cycle_class_su(p: int, q: int) -> HomologyExpansion:
 def _expansion(req: forms.Request) -> HomologyExpansion:
     return HomologyExpansion(forms.coefficient(req), tuple(forms.words(req)),
                              forms.context(req))
+
+
+def expansion_row(req: forms.Request) -> dict:
+    """``to_json()`` of the request's expansion, with its classes joined
+    from ``forms.word_texts``, so no int word is built or spelt: the row
+    that ``homology`` prints."""
+    return {"coefficient": forms.coefficient(req),
+            "classes": [*map(" ".join, forms.word_texts(req))],
+            "context": dict(forms.context(req))}

@@ -221,13 +221,13 @@ def canonical_rearrangement_h(word: Sequence[int], dims: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def enumerate_measurable_h(dims: Sequence[int]) -> list[Word]:
+def enumerate_measurable_h(dims: Sequence[int], letters: Sequence | None = None) -> list[Word]:
     """All minimal representatives passing the generalized strictly pairing
     condition, lexicographically.  The letters 1..m are dealt into the core
     blocks, increasing within each: letter v puts 2v-1 in a head block and
     2v in its mirror block, and the letters left over fill the middle block
     with their pairs (2v-1, 2v).  This is ``_pair_words`` on the aligned
-    pairs of 1..2m.
+    pairs of 1..2m; with ``letters``, each letter v is spelt ``letters[v]``.
 
     >>> enumerate_measurable_h((2, 2))
     [(1, 3, 2, 4)]
@@ -238,7 +238,7 @@ def enumerate_measurable_h(dims: Sequence[int]) -> list[Word]:
     n = sum(dims)
     if n % 2:
         raise ValueError("quaternionic dimension sequences must sum to an even number")
-    return _pair_words(cls.core, n, aligned=True)
+    return _pair_words(cls.core, n, aligned=True, letters=letters)
 
 
 def sigma_blocks_of(word: Sequence[int], dims: Sequence[int]) -> tuple[Word, ...]:

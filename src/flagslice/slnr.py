@@ -271,11 +271,13 @@ def canonical_rearrangement(word: Sequence[int], dims: Sequence[int]) -> Word:
     return tuple(out)
 
 
-def _pair_words(core: Sequence[int], n: int, aligned: bool = False) -> list[Word]:
+def _pair_words(core: Sequence[int], n: int, aligned: bool = False,
+                letters: Sequence | None = None) -> list[tuple]:
     """The words on 1..n, in lexicographic order, whose block pair j is
     ``core[j]`` disjoint pairs of neighbours in the ordered residual, taken
     left to right, and whose middle block is the residual left after the
-    last block.
+    last block.  Each letter v is spelt ``letters[v]`` (v itself by
+    default): only block pair 0 reads letters, and never compares them.
 
     A pair (r_t, r_(t+1)) gives the head r_(t+1) and the tail r_t.  With
     ``aligned`` only the pairs at even t are taken, (2v-1, 2v) for a letter
@@ -291,8 +293,9 @@ def _pair_words(core: Sequence[int], n: int, aligned: bool = False) -> list[Word
     [(1, 3, 4, 2), (3, 1, 2, 4)]
     """
     stride, head = (2, 0) if aligned else (1, 1)
+    spelt = tuple((range(n + 1) if letters is None else letters)[1:n + 1])
     r = n - 2 * sum(core)
-    words = [tuple(range(r) if core else range(1, n + 1))]  # The middle block.
+    words = [tuple(range(r)) if core else spelt]  # The middle block.
 
     def choices(residual: Word, left: int, start: int, heads: Word, tails: Word):
         # ``left`` more pairs, the next at edge >= start.
@@ -306,24 +309,25 @@ def _pair_words(core: Sequence[int], n: int, aligned: bool = False) -> list[Word
         getters = [itemgetter(*range(c), *[2 * c + i for i in word], *range(c, 2 * c))
                    for word in words]
         del words  # Freed before the next level's words are built.
-        residual = tuple(range(1, n + 1) if j == 0 else range(r))
+        residual = spelt if j == 0 else tuple(range(r))
         words = [get(picked) for picked in choices(residual, c, 0, (), ())
                  for get in getters]
     return words
 
 
-def enumerate_measurable(dims: Sequence[int]) -> list[Word]:
+def enumerate_measurable(dims: Sequence[int], letters: Sequence | None = None) -> list[Word]:
     """All minimal representatives passing the generalized double box
     contraction for a symmetric dimension sequence, lexicographically:
     block pair j is ``core[j]`` disjoint adjacent pairs (l, k) of the
-    ordered set with the earlier block pairs removed.
+    ordered set with the earlier block pairs removed.  With ``letters``,
+    each letter v is spelt ``letters[v]``, the words in the same order.
 
     >>> enumerate_measurable((2, 2))
     [(2, 4, 1, 3)]
     >>> enumerate_measurable((1, 2, 1))
     [(2, 3, 4, 1), (3, 1, 4, 2), (4, 1, 2, 3)]
     """
-    return _pair_words(_require_symmetric(dims).core, sum(dims))
+    return _pair_words(_require_symmetric(dims).core, sum(dims), letters=letters)
 
 
 def intersection_count_measurable(dims: Sequence[int]) -> int:

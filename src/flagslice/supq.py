@@ -240,8 +240,11 @@ def count_i_pq(p: int, q: int) -> int:
     return double_factorial_descending(p + q, q)
 
 
-def enumerate_i_pq(p: int, q: int) -> list[Word]:
-    """All words passing the strictly pairing condition, lexicographically.
+def enumerate_i_pq(p: int, q: int, letters: Sequence | None = None) -> list[Word]:
+    """All words passing the strictly pairing condition, lexicographically;
+    with ``letters``, each letter v spelt ``letters[v]``, in the same order,
+    as the walk below reads letters only to insert them and to test them
+    for equality.
 
     The words grow one pair at a time, from pair q down to pair 1, out of
     the singles q+1..p, increasing: level i inserts the adjacent letters
@@ -263,12 +266,14 @@ def enumerate_i_pq(p: int, q: int) -> list[Word]:
     if p < q or q < 0 or p < 1:
         raise ValueError("need p >= q >= 0 and p >= 1")
     n = p + q
-    words: list[Word] = [tuple(range(q + 1, p + 1))]
+    letters = range(n + 1) if letters is None else letters
+    words: list[Word] = [tuple(letters[q + 1:p + 1])]
     for i in range(q, 0, -1):
         size, last = len(words[0]), len(words) - 1
         # base[j] is words[j] with the pair inserted at its end, and gets[t]
         # moves the pair to gap t.
-        base = [w + (n + 1 - i, i) for w in words]
+        pair = letters[n + 1 - i], letters[i]
+        base = [w + pair for w in words]
         gets = [itemgetter(*range(t), size, size + 1, *range(t, size))
                 for t in range(size)]
         starts = [0] * size  # where the open node w[:t] of each depth began

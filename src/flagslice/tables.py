@@ -1,51 +1,64 @@
 """
 The row-table writer of ``enumerate`` and ``points``: each row written
-straight from its word into one text template made once per request,
-``points`` rows with their further fields and their flags, each flag joined
-from column texts made once per request, and the rows gathered into chunks
-with the bytes ``cli.render`` gives for the whole payload.  ``cli`` loads
-this module only for those two commands.
+straight from its word, spelt in letter texts, into one text template made
+once per request, ``points`` rows with their further fields and their
+flags, each flag joined from column texts made once per request, and the
+rows gathered into chunks with the bytes ``cli.render`` gives for the whole
+payload.  Every ``enumerate`` row of a request has the same length, so each
+of its chunks is one join over a slice of the words.  ``cli`` loads this
+module only for those two commands.
 """
 
 from __future__ import annotations
 
 import json
-from functools import cache
-from itertools import chain
-from typing import Iterator
+from functools import cache, partial
+from itertools import chain, islice, repeat
+from typing import Callable, Iterator
 
 from . import _lazy, forms
 from .cli import _json_list
-from .permutations import format_blocks, format_word, prefix_sums, word_text
+from .permutations import _letter, prefix_sums
 
 flags = _lazy("flags")
 
 # Characters gathered before each write.
 CHUNK_CHARS = 1 << 16
 
+# Given the characters of a table's head, the row texts, one chunk's rows at a time.
+Runs = Callable[[int], Iterator[str]]
+
 
 def row_texts(req: forms.Request, dims, rows, fmt: str,
-              fields: tuple[str, ...] | None = None) -> tuple[str, Iterator[str]]:
-    """The CSV header and the row texts of ``enumerate`` and ``points``: for
-    each word, the text ``table`` takes for ``cli._word_row(word,
-    forms.length(req), dims)``, with the keys ``fields`` and ``points``
-    added for ``points``.
+              fields: tuple[str, ...] | None = None) -> tuple[str, Runs]:
+    """The CSV header and the row texts of ``enumerate`` and ``points``, as
+    the runs ``table`` takes: for each word w of ``forms.words(req)``, spelt
+    ``tuple(map(str, w))``, the text ``table`` takes for
+    ``cli._word_row(w, forms.length(req), dims)``, with the keys ``fields``
+    and ``points`` added for ``points``.
 
-    For ``enumerate``, ``rows`` are the words.  For ``points``, they are
-    triples: a word, the texts of its values of ``fields`` (``_dumps`` at
-    the indent of the row's keys, or ``_csv_field``) and a list of the
-    texts of its flags, at least one (their quotes doubled for CSV).  The
-    row is one join of the flags' texts, the rest joined to the first and
-    the last.
+    For ``enumerate``, ``rows`` are the spelt words, as
+    ``forms.word_texts`` gives them.  For ``points``, they are triples: a
+    spelt word, the texts of its values of ``fields`` (``_dumps`` at the
+    indent of the row's keys, or ``_csv_field``) and a list of the texts of
+    its flags, at least one (their quotes doubled for CSV).  The row is one
+    join of the flags' texts, the rest joined to the first and the last.
 
     One template per request holds the keys, the indentation, the
     request's one length and the brackets of the lists; each word fills in
-    its ``word_text``, its display (``format_word`` or ``format_blocks``)
-    and, under ``dims``, its blocks, from a text per block made once.
-    Words and displays hold only digits, spaces and parentheses, so neither
-    needs a JSON escape or CSV quotes.  ``csv.writer`` quotes a field that
-    holds a comma or a quote: a block list when the words have two letters
-    or more, and a list of flags always.
+    its text ``" ".join(word)``, its display (its letters, in parentheses
+    per block under ``dims``, run together up to 9 letters and
+    space-separated past that) and, under ``dims``, its blocks, whose items
+    are its letters, from a text per block made once.  Words and displays
+    hold only digits, spaces and parentheses, so neither needs a JSON
+    escape or CSV quotes.  ``csv.writer`` quotes a field that holds a comma
+    or a quote: a block list when the words have two letters or more, and
+    a list of flags always.
+
+    Each word spells all n letters, so every ``enumerate`` row of a request
+    has the length of its first: a chunk's rows are counted from it, and
+    joined in one call over their slice of the words, read once, so
+    ``rows`` may be a one-shot iterator.
     """
     further = () if fields is None else (*fields, "points")
     keys = ("blocks",) * (dims is not None) + ("display", "length", *further, "word")
@@ -68,45 +81,59 @@ def row_texts(req: forms.Request, dims, rows, fmt: str,
                  "length": length, "points": '"[\0]"', "word": "\0"}
         template = ",".join(slots.get(key, "\0") for key in keys) + "\n"
         sep, pad = ", ", None
-    block = cache(lambda part: _json_list(map(int.__repr__, part), pad))
+    block = cache(lambda part: _json_list(part, pad))
     header = ",".join(keys) + "\n"
-    compact = req.size <= 9
+    joiner = "" if req.size <= 9 else " "
     cuts = None if dims is None else [
         slice(end - d, end) for d, end in zip(dims, prefix_sums(dims))]
+
+    def cells(word: tuple[str, ...]) -> list[str]:
+        # The blocks and the display of a word under ``dims``.
+        parts = [word[cut] for cut in cuts]
+        return [sep.join(map(block, parts)),
+                "".join(["(" + joiner.join(part) + ")" for part in parts])]
+
+    head, *backs = template.split("\0")
     if fields is not None:
-        head, *backs, closing, tail = template.split("\0")
+        *backs, closing, tail = backs
 
         def filled() -> Iterator[str]:
             for word, values, items in rows:
-                text = word_text(word)
-                if cuts is None:
-                    cells = [format_word(word) if compact else text, *values]
-                else:
-                    parts = [word[cut] for cut in cuts]
-                    cells = [sep.join(map(block, parts)), format_blocks(parts, compact),
-                             *values]
-                items[0] = "".join([head, *chain.from_iterable(zip(cells, backs)), items[0]])
+                text = " ".join(word)
+                lead = [text if joiner else "".join(word)] if cuts is None else cells(word)
+                items[0] = "".join([head, *chain.from_iterable(zip([*lead, *values], backs)),
+                                    items[0]])
                 items[-1] = "".join((items[-1], closing, text, tail))
                 yield sep.join(items)
-        return header, filled()
-    if cuts is None:
-        head, middle, tail = template.split("\0")
-        # Past 9 letters the display is space-separated: the word text.  Each
-        # word is read once, so ``rows`` may be a one-shot iterator.
-        return header, ("".join((head, format_word(word) if compact else text, middle,
-                                 text, tail))
-                        for word in rows for text in (word_text(word),))
-    head, middle, inner, tail = template.split("\0")
+        return header, partial(_gather, filled())
 
-    def texts() -> Iterator[str]:
-        for word in rows:
-            parts = [word[cut] for cut in cuts]
-            yield "".join((head, sep.join(map(block, parts)), middle,
-                           format_blocks(parts, compact), inner, word_text(word), tail))
-    return header, texts()
+    def joined(words: list[tuple[str, ...]]) -> str:
+        # The rows of ``words``, one template part and one column of field
+        # texts in turn; past 9 letters the display is the word text.
+        texts = [*map(" ".join, words)]
+        if cuts is None:
+            values = [texts if joiner else map("".join, words), texts]
+        else:
+            values = [*zip(*map(cells, words)), texts]
+        columns = [repeat(head)]
+        for column, back in zip(values, backs):
+            columns += (column, repeat(back))
+        return "".join(chain.from_iterable(zip(*columns)))
+
+    def runs(size: int) -> Iterator[str]:
+        words = iter(rows)
+        first = next(words, None)
+        if first is None:
+            return
+        width, words = len(joined([first])), chain((first,), words)
+        # The rows that bring a chunk from ``size`` characters to CHUNK_CHARS.
+        while run := [*islice(words, max(1, (CHUNK_CHARS - size + width - 1) // width))]:
+            yield joined(run)
+            size = 0
+    return header, runs
 
 
-def point_texts(req: forms.Request, fmt: str) -> tuple[str, Iterator[str]]:
+def point_texts(req: forms.Request, fmt: str) -> tuple[str, Runs]:
     """The CSV header and the row texts of ``points``: the word rows of
     ``row_texts`` with each row's further fields and its flags under
     ``points``, all from ``forms.points``, whose rows ``verify``
@@ -122,7 +149,7 @@ def point_texts(req: forms.Request, fmt: str) -> tuple[str, Iterator[str]]:
             items = [flag_text(flag, flag_pad, memo) for flag in found]
             if pad is None:
                 values, items = [*map(_csv_field, values)], [t.replace('"', '""') for t in items]
-            yield word, values, items
+            yield tuple(map(_letter, word)), values, items
     return row_texts(req, dims, rows(), fmt, fields)
 
 
@@ -167,41 +194,57 @@ def _column_text(key: tuple, pad: str | None, columns: dict) -> str:
     return text
 
 
-def table(command: str, config: dict, fmt: str, header: str,
-          texts: Iterator[str]) -> Iterator[str]:
+def table(command: str, config: dict, fmt: str, header: str, runs: Runs) -> Iterator[str]:
     """The text ``cli.render`` gives for a ``command`` payload whose rows
-    are given as the texts of ``row_texts``, in chunks, pulling each text
-    only when it is written.  A JSON row text is the row at the indent of
-    the rows after its separator ``",\\n    "``; the first row's separator
-    is ``"[\\n    "``, so its first character is swapped.  A CSV row text
-    is its line, under ``header``.
+    are given by the ``runs`` of ``row_texts``, in chunks.  ``runs(size)``
+    gives the texts of the rows of each chunk in turn, the first chunk's
+    after the ``size`` characters of the payload before its rows, and
+    builds each only when it is pulled.  A JSON row text is the row at the
+    indent of the rows after its separator ``",\\n    "``; the first row's
+    separator is ``"[\\n    "``, so its first character is swapped.  A CSV
+    row text is its line, under ``header``.
 
     In both formats a chunk ends with the first row that brings it to
     ``CHUNK_CHARS`` characters, so no chunk but the last holds more than
     ``CHUNK_CHARS`` plus one row's text, and no chunk is empty.  A table
     without rows is the JSON payload with ``"rows": []``, or no CSV text.
     """
-    first = next(texts, None)
     if fmt == "json":
         head = ('{\n  "command": ' + json.dumps(command) + ',\n  "config": '
                 + _dumps(config, "  ") + ',\n  "rows": ')
-        if first is None:
-            yield head + "[]\n}\n"
-            return
-        out, first, tail = [head], "[" + first[1:], "\n  ]\n}\n"
-    elif first is None:
-        return
+        tail = "\n  ]\n}\n"
     else:
-        out, tail = [header], ""
-    size = sum(map(len, out))
-    for text in chain((first,), texts):
-        out.append(text)
+        head, tail = header, ""
+    texts = runs(len(head))
+    first = next(texts, None)
+    if first is None:
+        if fmt == "json":
+            yield head + "[]\n}\n"
+        return
+    chunk = head + ("[" + first[1:] if fmt == "json" else first)
+    for text in texts:
+        yield chunk
+        chunk = text
+    # The tail closes the last chunk, or comes on its own after a full one.
+    if len(chunk) >= CHUNK_CHARS:
+        yield chunk
+        chunk = ""
+    chunk += tail
+    if chunk:
+        yield chunk
+
+
+def _gather(texts: Iterator[str], size: int) -> Iterator[str]:
+    """The ``texts`` joined in runs, each ending with the text that brings
+    it to ``CHUNK_CHARS`` characters, the first counted from ``size``; the
+    last run may fall short."""
+    run = []
+    for text in texts:
+        run.append(text)
         size += len(text)
         if size >= CHUNK_CHARS:
-            yield "".join(out)
-            out.clear()
+            yield "".join(run)
+            run.clear()
             size = 0
-    out.append(tail)
-    text = "".join(out)
-    if text:
-        yield text
+    if run:
+        yield "".join(run)

@@ -219,7 +219,7 @@ def test_library_errors_exit_4(monkeypatch, capsys):
         def broken(req, error=error):
             raise error
 
-        monkeypatch.setattr(forms, "words", broken)
+        monkeypatch.setattr(forms, "word_texts", broken)
         assert cli.main(["enumerate", "--form", "slnr", "--n", "4"]) == 4
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
@@ -414,6 +414,28 @@ def test_json_chunks_end_with_the_row_that_reaches_the_threshold():
     assert len(chunks) > 10
     assert all(tables.CHUNK_CHARS <= len(chunk) <= tables.CHUNK_CHARS + longest
                for chunk in chunks[:-1])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [["--form", "slnr", "--n", "12"],
+                                  ["--form", "slnr", "--n", "12", "--dims", "1,1,2,4,2,1,1"]])
+def test_enumerate_chunks_end_with_the_row_that_reaches_the_threshold(argv, fmt):
+    # enumerate counts the rows of a chunk from its first row's length, as
+    # every row of a request has the same length; each chunk but the last
+    # still ends with the row that brings it to CHUNK_CHARS.
+    written = []
+    with mock.patch.object(sys.stdout, "write", side_effect=written.append):
+        assert cli.main(["enumerate", *argv, "--format", fmt]) == 0
+    text = "".join(written)
+    if fmt == "json":
+        rows = [",\n    " + json.dumps(row, sort_keys=True, indent=2).replace("\n", "\n    ")
+                for row in json.loads(text)["rows"]]
+    else:
+        rows = text.splitlines(keepends=True)[1:]
+    longest = max(map(len, rows))
+    assert len(written) >= 3
+    assert all(tables.CHUNK_CHARS <= len(chunk) < tables.CHUNK_CHARS + longest
+               and chunk.endswith("}" if fmt == "json" else "\n") for chunk in written[:-1])
 
 
 @pytest.mark.parametrize("argv", [["enumerate", "--form", "slnr", "--n", "12"],
@@ -990,15 +1012,65 @@ def test_help_and_errors_load_argparse(tmp_path, argv, code, stream, text):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("kwargs", [{"n": 4}, {"n": 10}, {"n": 5, "dims": (2, 3)}])
 def test_word_texts_read_each_word_once(fmt, kwargs):
-    # A one-shot generator of words gives one row per word, in order.
+    # A one-shot generator of spelt words gives one row per word, in order.
     req = forms.Request("slnr", **kwargs)
     words = forms.words(req)
-    _, texts = tables.row_texts(req, req.dims, (word for word in words), fmt)
+    _, runs = tables.row_texts(req, req.dims, (tuple(map(str, w)) for w in words), fmt)
+    text = "".join(runs(0))
     if fmt == "json":
-        found = [json.loads(text.lstrip(","))["word"] for text in texts]
+        found = [row["word"] for row in json.loads("[" + text[1:] + "]")]
     else:
-        found = [row[-1] for row in csv.reader(io.StringIO("".join(texts)))]
+        found = [row[-1] for row in csv.reader(io.StringIO(text))]
     assert found == [word_text(word) for word in words]
+
+
+def test_spelt_words_are_the_words_in_letter_texts():
+    # forms.word_texts spells the words in the enumerators for complete
+    # flags and symmetric dims, and spells the sorted words afterwards for
+    # asymmetric dims and supq orbits: the same words, in the same order.
+    reqs = [forms.Request("slnr", n=n) for n in range(1, 13)]
+    reqs += [forms.Request("slmh", n=n) for n in range(2, 13, 2)]
+    reqs += [forms.Request(form, n=n, dims=dims) for form in ("slnr", "slmh")
+             for n in range(1, 9) if form == "slnr" or n % 2 == 0
+             for dims in _compositions(n) if dims == dims[::-1] or n <= 6]
+    reqs += [forms.Request("supq", p=p, q=q) for p in range(1, 13)
+             for q in range(p + 1) if p + q <= 12]
+    for p, q in ((p, q) for p in range(1, 7) for q in range(p + 1) if p + q <= 6):
+        reqs += [forms.Request("supq", p=p, q=q, orbit="".join(signs))
+                 for signs in sorted(set(permutations("+" * p + "-" * q)))]
+        for dims in _compositions(p + q):
+            for a in product(*(range(d + 1) for d in dims)):
+                if sum(a) == q:
+                    desc = supq.OrbitDescriptor(p, q, a, tuple(d - x for d, x in zip(dims, a)))
+                    reqs.append(forms.Request("supq", p=p, q=q, dims=dims,
+                                              orbit=supq.sign_sequence_of(desc)))
+    for req in reqs:
+        assert forms.word_texts(req) == [tuple(map(str, w)) for w in forms.words(req)], req
+
+
+def test_word_commands_look_up_no_letters_per_row(capsys, monkeypatch):
+    # enumerate and homology print the words their enumerators spell, so
+    # neither calls word_text or format_word for a row, through any module
+    # that imported them.
+    from flagslice import permutations
+
+    calls = []
+    for name in ("word_text", "format_word"):
+        original = getattr(permutations, name)
+
+        def counted(*args, original=original, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        for module in [m for key, m in sys.modules.items() if key.startswith("flagslice")]:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    for argv, rows in ((["enumerate", "--form", "slnr", "--n", "10"], 945),
+                       (["homology", "--form", "supq", "--p", "6", "--q", "4"], 1)):
+        assert cli.main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["rows"]) == rows
+    assert calls == []
+    cli._word_row((2, 1), 1, None)  # The reference row spells through both.
+    assert len(calls) == 2
 
 
 def test_package_names_resolve_on_first_use():

@@ -9,8 +9,10 @@ is too slow for this test), plus requests with n >= 10, where a word's
 holds no comma and so is not quoted in CSV, plus word and class lists of
 several block pairs over a middle block (odd ``--n``, ``--dims`` with a
 middle block) and long spliced class lists, plus the SU(8,5) requests of
-the ``enum_mix`` benchmark workload, plus the full ``verify`` suite at two
-seeds with one sample per sampling case.  A change that alters one
+the ``enum_mix`` benchmark workload, plus every other ``enumerate`` and
+``homology`` request that workload can issue (each dimension sequence of
+its n = 12 pools), plus the full ``verify`` suite at two seeds with one
+sample per sampling case.  A change that alters one
 of these outputs on purpose records the new digest here and says why.
 """
 
@@ -224,6 +226,48 @@ GOLDEN = {
         "37809d9db60f1ab18de4b6bb4b594f652b0686d9f0db384283fbb01b0b8311ab",
     "homology --form supq --p 8 --q 5":
         "957a3d923ac6a2955d51073256b4bc84e8c672c0e67aee5ce75eb6e6e5b692cd",
+    "enumerate --form slnr --n 13":
+        "6f0c6987bea39b2307e29a8a11640ec20786d5dfab7ac88a4ea54dface3aa278",
+    "enumerate --form slnr --n 12 --format csv":
+        "499d8f0459922eb4a5f5d2119f30880320a6b254ca7af13b3ec4d338f3e33c43",
+    "enumerate --form slmh --n 14":
+        "9803b6411d25bcfc8d7d061177f9e6af6d22387c59eb881e4daaee330a47b1c3",
+    "homology --form slnr --n 12":
+        "ded5d2b261cd8a5cfb27547fd9b34a086915fa7ebbe06382dc15dd62b7ca85f1",
+    "homology --form slmh --n 14":
+        "7796f48a889c60c2409a2f019158a1dfceddac815faca209cb8657ccff73bcb9",
+    "enumerate --form slnr --n 12 --dims 1,2,3,3,2,1":
+        "46af7bbeb90f132a83408de6f5757d53f14e9a484ca56b85e3fc415f42e74ccf",
+    "enumerate --form slnr --n 12 --dims 2,2,4,2,2":
+        "03265fde3459a9417685a79daa0c426fa1a1e2c39889b6fce56635c6b0a2925c",
+    "enumerate --form slnr --n 12 --dims 3,3,3,3":
+        "755496c9a21029e5a019c04d3592d8edf7c90a3e15be6380809b06a031a7dcdc",
+    "enumerate --form slnr --n 12 --dims 2,2,3,5":
+        "78f8c7558bf5423c05c911f8fdd57371a73738f7cc25ca1f91b071499d75bd07",
+    "enumerate --form slnr --n 12 --dims 3,3,2,2,2":
+        "0a336dae545419395a0c3bb017efb3a84cbd7e62f90e0c8bcba414a26a5f876a",
+    "enumerate --form slnr --n 12 --dims 5,4,3":
+        "76c5e4848af9708c4f19511f603b70edef58d1995d9e84c9b5ef2cee37b70316",
+    "enumerate --form slmh --n 12 --dims 2,2,2,2,2,2":
+        "40304da0a0e471df5d08ef6ec212701c7608db080d4dce69ec08564d072fe042",
+    "enumerate --form slmh --n 12 --dims 3,3,3,3":
+        "b079b7b38dd9b723b241b669ddc02b06063070fbaa51526138cc0a1c6c6222ef",
+    "enumerate --form slmh --n 12 --dims 4,2,2,4":
+        "8d31c217999844ac8c09289ec23b3d795e53c75dc176d4148cf2fd0039f6dafc",
+    "enumerate --form slmh --n 12 --dims 2,2,4,4":
+        "48098d26553203b6c1904f105756b41ab36cba1eb0e5ea6d791f8b1bf70f09b9",
+    "enumerate --form slmh --n 12 --dims 3,5,4":
+        "589c6c3134c7c5a8b5aceafbe5477e5e588e0c3fb3f0b8e271338f16bcd90163",
+    "enumerate --form slmh --n 12 --dims 5,4,3":
+        "ce677abedb9ccb6310914ea673a17bf50dc7e70ea54f4a1eb280e189512b90ad",
+    "homology --form slnr --n 12 --dims 1,1,2,4,2,1,1":
+        "6c5fd314c87cc5fcd50abb87b95dda5210377a1bd3bf48556a10c508b5b1ab43",
+    "homology --form slnr --n 12 --dims 1,2,3,3,2,1":
+        "f71db22ec99ad13acbdfa3f28a25e29f54b33968d8972a3ac03ca607579e2050",
+    "homology --form slnr --n 12 --dims 2,2,4,2,2":
+        "9b840ece5355b6c0cf8597383a99434502b33a310993a8a4119573a4cb72706c",
+    "homology --form slnr --n 12 --dims 3,3,3,3":
+        "744e58be4a8466d8cb7ddcfec82665a9e560abb202f7616b86d6e215084d54d9",
     "verify --fast":
         "1ea7d990785af2526c8096030b8e922a9232cbab4fced9142bc886158a3744dd",
     "verify --seed 0 --samples 1":
