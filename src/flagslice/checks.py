@@ -128,7 +128,7 @@ def _point_failures(req: forms.Request, label: str, reference: FlagMatrix, tests
     of ``row_faults(word, flags, computed)``, ``computed`` those oracle
     values by field.  The further fields must be those of ``oracle``."""
     oracle = oracle or {}
-    _, fields, rows = forms.points(req)
+    fields, rows = forms.points(req)
     if list(fields) != list(oracle):
         return [f"{label}: printed fields {list(fields)}, oracle for {list(oracle)}"]
     failures = []
@@ -372,7 +372,7 @@ def check_orbit_injectivity_supq(sizes=((2, 1), (2, 2), (3, 2), (4, 2))) -> Chec
     for p, q in sizes:
         seen: dict[frozenset, str] = {}
         for alpha in _all_sign_sequences(p, q):
-            _, _, rows = forms.points(forms.Request("supq", p=p, q=q, orbit=alpha))
+            _, rows = forms.points(forms.Request("supq", p=p, q=q, orbit=alpha))
             key = frozenset(flag.canonical_key() for _, found, _ in rows for flag in found)
             if key in seen:
                 failures.append(f"({p},{q}): {alpha} and {seen[key]} share points")

@@ -38,7 +38,7 @@ from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 from . import _lazy, forms
-from .permutations import blocks, format_blocks, format_word, parse_dims, parse_ints, word_text
+from .permutations import blocks, format_word, parse_dims, parse_ints, word_text
 
 homology, supq, tables = _lazy("homology"), _lazy("supq"), _lazy("tables")
 
@@ -203,21 +203,15 @@ def _word_row(word, length: int, dims) -> dict:
     ``tables.row_texts`` writes the same row without building it.  It is the
     reference row the tests compare those texts with, and a name
     ``perfbench/tracer.py`` wraps."""
-    text = word_text(word)
-    row = {"word": text, "length": length}
+    row = {"word": word_text(word), "length": length, "display": format_word(word, dims)}
     if dims is not None:
-        parts = blocks(word, dims)
-        row["display"] = format_blocks(parts, len(word) <= 9)
-        row["blocks"] = [list(b) for b in parts]
-    else:
-        # Past 9 letters the display is space-separated: the word text.
-        row["display"] = format_word(word) if len(word) <= 9 else text
+        row["blocks"] = [list(b) for b in blocks(word, dims)]
     return row
 
 
 def cmd_enumerate(args) -> int:
     req = _request(args)
-    header, runs = tables.row_texts(req, req.dims, forms.word_texts(req), args.format)
+    header, runs = tables.row_texts(req, forms.word_texts(req), args.format)
     _write(args, tables.table("enumerate", _config_echo(args), args.format, header, runs))
     return 0
 

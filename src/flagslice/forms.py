@@ -12,10 +12,10 @@ from __future__ import annotations
 import sys
 from itertools import accumulate
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from . import _lazy
-from .permutations import Dims, Word, _letter, check_dims, classify_symmetry, format_dims
+from .permutations import Dims, Word, check_dims, classify_symmetry, format_dims
 
 flags, gaussian = _lazy("flags"), _lazy("gaussian")
 slmh, slnr, supq = _lazy("slmh"), _lazy("slnr"), _lazy("supq")
@@ -83,30 +83,30 @@ class Request(NamedTuple("Request", [("form", str), ("n", int | None), ("p", int
 
 def words(req: Request) -> list[Word]:
     """The Schubert words meeting the cycle(s), lexicographically."""
-    if req.form == "slnr":
-        return slnr.through_model(req.flag_dims, slnr.enumerate_measurable)
-    if req.form == "slmh":
-        return slnr.through_model(req.flag_dims, slmh.enumerate_measurable_h)
-    if req.orbit is None:
-        return supq.enumerate_i_pq(req.p, req.q)
-    return supq.words_for_orbit(_orbit(req))
+    return _words(req)
 
 
 def word_texts(req: Request) -> list[tuple[str, ...]]:
-    """``words(req)`` with each letter as its decimal text, ``tuple(map(str,
-    w))`` for each word w, in the same order: ``enumerate`` and
-    ``homology`` print these.  The enumerators of complete flags and
-    symmetric ``dims`` spell the letters as they build the words; the
-    words of asymmetric ``dims`` and of supq orbits, sorted as ints, are
-    spelt afterwards."""
-    dims = req.flag_dims
-    if req.orbit is not None or not classify_symmetry(dims).is_symmetric:
-        return [tuple(map(_letter, word)) for word in words(req)]
-    letters = [*map(_letter, range(req.size + 1))]
-    if req.form == "supq":
+    """``words(req)`` with each letter v spelt ``str(v)``, in the same order:
+    ``enumerate`` and ``homology`` print these."""
+    return _words(req, [*map(str, range(req.size + 1))])
+
+
+def _words(req: Request, letters: Sequence | None = None) -> list[tuple]:
+    """``words(req)``, each letter v spelt ``letters[v]`` (v by default):
+    by the enumerators of complete flags and symmetric ``dims`` as they
+    build the words, afterwards for the int-sorted words of the rest."""
+    if req.orbit is not None:
+        found = supq.words_for_orbit(_orbit(req))
+    elif req.form == "supq":
         return supq.enumerate_i_pq(req.p, req.q, letters)
-    return (slnr.enumerate_measurable if req.form == "slnr"
-            else slmh.enumerate_measurable_h)(dims, letters)
+    else:
+        enumerate_symmetric = (slnr.enumerate_measurable if req.form == "slnr"
+                               else slmh.enumerate_measurable_h)
+        if classify_symmetry(req.flag_dims).is_symmetric:
+            return enumerate_symmetric(req.flag_dims, letters)
+        found = slnr.through_model(req.dims, enumerate_symmetric)
+    return found if letters is None else [tuple(map(letters.__getitem__, w)) for w in found]
 
 
 def length(req: Request) -> int:
@@ -213,15 +213,15 @@ MAX_ENTRIES = 3_200_000
 def check_size(req: Request, points: bool = False) -> None:
     """Raise ValueError when the letters of a request's words, or the
     entries of their intersection flags when ``points`` is set, exceed
-    their budget.  Asymmetric ``dims`` have no closed count: their words
-    come from the words of their symmetric model, so the model's closed
-    count bounds them.  supq orbits are not checked."""
-    total, digits = closed_count(req), printable_digits()
-    # Points of slnr partial flags and of asymmetric slmh dims are refused by
-    # ``points`` with its own messages.
-    if req.orbit is not None or points and (total is None or req.form == "slnr"
-                                            and not req.complete):
+    their budget, and for ``points`` a request without points
+    (``_check_points``).  Asymmetric ``dims`` have no closed count: their
+    words come from the words of their symmetric model, so the model's
+    closed count bounds them.  supq orbits are not checked."""
+    if points:
+        _check_points(req)
+    if req.orbit is not None:
         return
+    total, digits = closed_count(req), printable_digits()
     # A number past the cap is a lower bound (the count stops there), too long to print.
     text = lambda v: str(v) if not digits or v < 10 ** digits else f"at least 10^{digits}"
     n, source = req.size, ""
@@ -242,47 +242,48 @@ def check_size(req: Request, points: bool = False) -> None:
                          f"exceed the limit of {MAX_LETTERS} letters per request")
 
 
-def points(req: Request) -> tuple[Dims | None, tuple[str, ...],
-                                  Iterator[tuple[Word, list[flags.FlagMatrix], tuple]]]:
-    """The rows of ``points`` and what they share: the dims to display the
-    words with (None for complete flags), the names of the further fields,
-    and per word of ``words(req)`` the word, its intersection flags (at
-    least one) and the values of those fields.  A request without points
-    raises ValueError here, before any row is built.  The command line
-    prints these rows and ``verify`` certifies them against the oracle.
+def _check_points(req: Request) -> None:
+    """Raise ValueError for a request whose intersection points are not
+    computed: slnr partial flags and slmh asymmetric ``dims``."""
+    if req.form == "slnr" and not req.complete:
+        raise ValueError("slnr intersection points are computed for complete flags only")
+    if req.form == "slmh" and not (req.complete or classify_symmetry(req.dims).is_symmetric):
+        raise ValueError("slmh intersection points need a symmetric dimension sequence")
 
-    >>> dims, fields, rows = points(Request("supq", p=1, q=1))
-    >>> dims, fields
-    (None, ('orbits',))
+
+def points(req: Request) -> tuple[tuple[str, ...],
+                                  Iterator[tuple[Word, list[flags.FlagMatrix], tuple]]]:
+    """The rows of ``points``: the names of the further fields, and per
+    word of ``words(req)`` the word, its intersection flags (at least one)
+    and the values of those fields.  A request without points raises
+    ValueError here, before any row is built.  The command line prints
+    these rows and ``verify`` certifies them against the oracle.
+
+    >>> fields, rows = points(Request("supq", p=1, q=1))
+    >>> fields
+    ('orbits',)
     >>> [(word, len(found), values) for word, found, values in rows]
     [((2, 1), 2, (['-+', '+-'],))]
     """
+    _check_points(req)
     if req.form == "slnr":
-        if not req.complete:
-            raise ValueError(
-                "slnr intersection points are computed for complete flags only")
         fields = ("orientations",) if req.n % 2 == 0 else ()
-        return None, fields, ((word, slnr.intersection_points_gb(word),
-                               (slnr.orientations_gb(word),) if fields else ())
-                              for word in words(req))
+        return fields, ((word, slnr.intersection_points_gb(word),
+                         (slnr.orientations_gb(word),) if fields else ())
+                        for word in words(req))
     if req.form == "slmh":
         dims = req.flag_dims
-        if not classify_symmetry(dims).is_symmetric:
-            raise ValueError(
-                "slmh intersection points need a symmetric dimension sequence")
         # Each point reorders these columns, so one exact rank check covers them all.
         basis = slmh.quaternion_pair_columns(range(1, req.n // 2 + 1))
         if gaussian.rank([gaussian.gq_of(col, 1) for col in basis]) != req.n:
             raise ArithmeticError("slmh intersection columns are linearly dependent")
-        return None if req.complete else dims, (), (
-            (word, [slmh.intersection_point_measurable_h(word, dims)], ())
-            for word in slmh.enumerate_measurable_h(dims))
+        return (), ((word, [slmh.intersection_point_measurable_h(word, dims)], ())
+                    for word in slmh.enumerate_measurable_h(dims))
     if req.orbit is None:
         p, q = req.p, req.q
-        return None, ("orbits",), ((word, supq.t_w(word, p, q), (supq.t_w_labels(word, p, q),))
-                                   for word in words(req))
-    return None if req.complete else req.dims, (), (
-        (word, [flag], ()) for word, flag in supq.enumerate_for_orbit_gp(_orbit(req)))
+        return ("orbits",), ((word, supq.t_w(word, p, q), (supq.t_w_labels(word, p, q),))
+                             for word in words(req))
+    return (), ((word, [flag], ()) for word, flag in supq.enumerate_for_orbit_gp(_orbit(req)))
 
 
 def coefficient(req: Request) -> int:

@@ -65,17 +65,6 @@ def parse_word(text: str) -> Word:
     return check_word(values)
 
 
-class _LetterTable(dict):
-    """The decimal text of each letter, made the first time it is asked for."""
-
-    def __missing__(self, letter: int) -> str:
-        text = self[letter] = str(letter)
-        return text
-
-
-_letter = _LetterTable().__getitem__
-
-
 def format_word(word: Sequence[int], dims: Sequence[int] | None = None) -> str:
     """Render a permutation; block parentheses when ``dims`` is given.
 
@@ -91,7 +80,7 @@ def format_word(word: Sequence[int], dims: Sequence[int] | None = None) -> str:
     """
     compact = len(word) <= 9
     if dims is None:
-        return ("" if compact else " ").join(map(_letter, word))
+        return ("" if compact else " ").join(map(str, word))
     return format_blocks(blocks(word, dims), compact)
 
 
@@ -102,12 +91,12 @@ def format_blocks(parts: Sequence[Sequence[int]], compact: bool) -> str:
     '(257)(138)(46)'
     """
     joiner = "" if compact else " "
-    return "".join(["(" + joiner.join(map(_letter, part)) + ")" for part in parts])
+    return "".join(["(" + joiner.join(map(str, part)) + ")" for part in parts])
 
 
 def word_text(word: Sequence[int]) -> str:
     """Canonical space-separated text form, e.g. ``"2 4 3 1"``."""
-    return " ".join(map(_letter, word))
+    return " ".join(map(str, word))
 
 
 def parse_ints(text: str) -> tuple[int, ...]:

@@ -18,7 +18,7 @@ from typing import Callable, Iterator
 
 from . import _lazy, forms
 from .cli import _json_list
-from .permutations import _letter, prefix_sums
+from .permutations import prefix_sums
 
 flags = _lazy("flags")
 
@@ -29,13 +29,13 @@ CHUNK_CHARS = 1 << 16
 Runs = Callable[[int], Iterator[str]]
 
 
-def row_texts(req: forms.Request, dims, rows, fmt: str,
+def row_texts(req: forms.Request, rows, fmt: str,
               fields: tuple[str, ...] | None = None) -> tuple[str, Runs]:
     """The CSV header and the row texts of ``enumerate`` and ``points``, as
     the runs ``table`` takes: for each word w of ``forms.words(req)``, spelt
     ``tuple(map(str, w))``, the text ``table`` takes for
-    ``cli._word_row(w, forms.length(req), dims)``, with the keys ``fields``
-    and ``points`` added for ``points``.
+    ``cli._word_row(w, forms.length(req), req.dims)``, with the keys
+    ``fields`` and ``points`` added for ``points``.
 
     For ``enumerate``, ``rows`` are the spelt words, as
     ``forms.word_texts`` gives them.  For ``points``, they are triples: a
@@ -47,9 +47,9 @@ def row_texts(req: forms.Request, dims, rows, fmt: str,
     One template per request holds the keys, the indentation, the
     request's one length and the brackets of the lists; each word fills in
     its text ``" ".join(word)``, its display (its letters, in parentheses
-    per block under ``dims``, run together up to 9 letters and
-    space-separated past that) and, under ``dims``, its blocks, whose items
-    are its letters, from a text per block made once.  Words and displays
+    per block under ``req.dims``, run together up to 9 letters and
+    space-separated past that) and, under ``req.dims``, its blocks, whose
+    items are its letters, from a text per block made once.  Words and displays
     hold only digits, spaces and parentheses, so neither needs a JSON
     escape or CSV quotes.  ``csv.writer`` quotes a field that holds a comma
     or a quote: a block list when the words have two letters or more, and
@@ -60,7 +60,7 @@ def row_texts(req: forms.Request, dims, rows, fmt: str,
     joined in one call over their slice of the words, read once, so
     ``rows`` may be a one-shot iterator.
     """
-    further = () if fields is None else (*fields, "points")
+    dims, further = req.dims, () if fields is None else (*fields, "points")
     keys = ("blocks",) * (dims is not None) + ("display", "length", *further, "word")
     if list(keys) != sorted(set(keys)):
         raise AssertionError(f"the row keys {keys} are not in sorted order")
@@ -138,8 +138,8 @@ def point_texts(req: forms.Request, fmt: str) -> tuple[str, Runs]:
     ``row_texts`` with each row's further fields and its flags under
     ``points``, all from ``forms.points``, whose rows ``verify``
     certifies."""
-    dims, fields, points = forms.points(req)
-    memo = {}
+    fields, points = forms.points(req)
+    memo, letters = {}, [*map(str, range(req.size + 1))]
     # A value sits at the indent of the row's keys, a flag at its items'.
     pad, flag_pad = ("      ", "        ") if fmt == "json" else (None, None)
 
@@ -149,8 +149,8 @@ def point_texts(req: forms.Request, fmt: str) -> tuple[str, Runs]:
             items = [flag_text(flag, flag_pad, memo) for flag in found]
             if pad is None:
                 values, items = [*map(_csv_field, values)], [t.replace('"', '""') for t in items]
-            yield tuple(map(_letter, word)), values, items
-    return row_texts(req, dims, rows(), fmt, fields)
+            yield tuple(map(letters.__getitem__, word)), values, items
+    return row_texts(req, rows(), fmt, fields)
 
 
 def _dumps(value, pad: str | None) -> str:

@@ -325,10 +325,10 @@ def _to_json_tables(argv) -> tuple[dict[str, str], int]:
     its ``to_json()`` and every length its word's own inversion count, and
     the number of rows."""
     args = cli.build_parser().parse_args(["points", *argv])
-    rows = []
-    dims, fields, points = forms.points(cli._request(args))
+    rows, req = [], cli._request(args)
+    fields, points = forms.points(req)
     for word, flags, values in points:
-        row = cli._word_row(word, inversion_length(word), dims)
+        row = cli._word_row(word, inversion_length(word), req.dims)
         row["points"] = [flag.to_json() for flag in flags]
         row.update(zip(fields, values))
         rows.append(row)
@@ -824,7 +824,7 @@ def test_verify_certifies_the_printed_fields(monkeypatch, form, check, field, vi
     healthy = forms.points
 
     def corrupted(req):
-        dims, fields, rows = healthy(req)
+        fields, rows = healthy(req)
 
         def altered():
             for word, flags, values in rows:
@@ -836,7 +836,7 @@ def test_verify_certifies_the_printed_fields(monkeypatch, form, check, field, vi
                         value[:2] = value[1::-1]
                     values = (value,)
                 yield word, flags, values
-        return dims, fields, altered()
+        return fields, altered()
 
     monkeypatch.setattr(forms, "points", corrupted)
     result = getattr(checks, check)()
@@ -1015,7 +1015,7 @@ def test_word_texts_read_each_word_once(fmt, kwargs):
     # A one-shot generator of spelt words gives one row per word, in order.
     req = forms.Request("slnr", **kwargs)
     words = forms.words(req)
-    _, runs = tables.row_texts(req, req.dims, (tuple(map(str, w)) for w in words), fmt)
+    _, runs = tables.row_texts(req, (tuple(map(str, w)) for w in words), fmt)
     text = "".join(runs(0))
     if fmt == "json":
         found = [row["word"] for row in json.loads("[" + text[1:] + "]")]

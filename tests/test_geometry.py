@@ -86,7 +86,7 @@ def _form_points(n):
     reqs += [forms.Request("slmh", n=n)] if n % 2 == 0 else []
     reqs += [forms.Request("supq", p=n - q, q=q) for q in range(1, n // 2 + 1)]
     for req in reqs:
-        for _, found, _ in forms.points(req)[2]:
+        for _, found, _ in forms.points(req)[1]:
             yield from found
 
 

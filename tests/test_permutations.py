@@ -15,8 +15,7 @@ from flagslice.permutations import (blocks, classify_symmetry,
 
 words = st.integers(2, 7).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1)))).map(tuple)
-# Up to 70 letters: two-digit letters, and letters no earlier call has asked
-# the text table for.
+# Up to 70 letters: one- and two-digit letters.
 long_words = st.integers(1, 70).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1)))).map(tuple)
 

@@ -262,7 +262,7 @@ def test_each_points_request_checks_rank_once(monkeypatch):
     monkeypatch.setattr(gaussian, "rank", counted)
     for req in (forms.Request("slmh", n=6), forms.Request("slmh", n=6, dims=(2, 2, 2))):
         before = len(calls)
-        _, _, rows = forms.points(req)
+        _, rows = forms.points(req)
         assert sum(len(found) for _, found, _ in rows) == len(forms.words(req))
         assert calls[before:] == [6]
 
