@@ -10,8 +10,9 @@ Exit codes: 0 success, 2 configuration error, 3 verification failure,
 nothing on stderr.
 Output depends only on the arguments and ``--seed``.  ``enumerate`` and
 ``points`` write their rows a chunk at a time as they are built, through
-``tables``, the row-table writer, which only they execute: ``enumerate``
-joins each chunk's rows in one call from its words spelt in letter texts
+``tables``, the row-table writer, which only they execute, both showing
+the words under the request's own dims: ``enumerate`` joins each chunk's
+rows in one call from its words spelt in letter texts
 (``forms.word_texts``).  The other commands render their whole payload
 first, through ``json.dumps`` or ``csv.writer``, except that ``homology``
 splices its JSON class list, joined from the same spelt words, into the
@@ -189,6 +190,9 @@ def _request(args) -> forms.Request:
         a, b = (_parse("--orbit", parse_ints, pieces[key]) for key in "ab")
         desc = supq.OrbitDescriptor(args.p, args.q, a, b)
         _require(dims in (None, desc.dims), "--orbit block counts disagree with --dims")
+        # One word of n letters over the budget: refused before the n signs are built.
+        _require(desc.n <= forms.MAX_LETTERS, f"words of {desc.n} letters exceed the limit "
+                 f"of {forms.MAX_LETTERS} letters per request")
         orbit, dims = supq.sign_sequence_of(desc), desc.dims
     req = forms.Request(args.form, n=args.n, p=args.p, q=args.q, dims=dims, orbit=orbit)
     # ``count`` enumerates only a request with no closed count.
@@ -249,10 +253,17 @@ def cmd_homology(args) -> int:
     return 0
 
 
+# The most --samples verify takes.  Its time grows linearly with them: in
+# process, on a 2-vCPU host, 1 sample took 0.25 s, 20 took 1.0 s, 100 took
+# 3.9 s and 200 took 8.1 s, so 1000 would take about 40 s.
+MAX_SAMPLES = 1000
+
+
 def cmd_verify(args) -> int:
     # Fewer than one trial per cell would make every sampling check report a
     # predicted open orbit as never hit.
-    _require(args.samples >= 1, f"--samples must be at least 1, got {args.samples}")
+    _require(1 <= args.samples <= MAX_SAMPLES,
+             f"--samples must be from 1 to {MAX_SAMPLES}, got {args.samples}")
     # The cross-check suites load only here: no other command runs the oracle.
     from . import checks
     if args.fast:

@@ -4,7 +4,9 @@ complementary length, intersection-point rows, coefficient and context of a
 request.  Flag types: complete, symmetric or asymmetric ``dims`` for slnr
 and slmh; no orbit, a complete-flag orbit or a partial-flag orbit for supq.
 The command line prints what these functions give, and ``verify`` reads the
-same words, counts, lengths and rows through them.
+same words, counts, lengths and rows through them.  Each fact is decided
+once: ``words`` and ``word_texts`` share one dispatch, and the size check
+and ``points`` share one refusal of the requests that have no points.
 """
 
 from __future__ import annotations
@@ -78,7 +80,8 @@ class Request(NamedTuple("Request", [("form", str), ("n", int | None), ("p", int
 
     @property
     def complete(self) -> bool:
-        return self.dims is None or self.dims == (1,) * self.size
+        # Positive parts summing to the size are all ones when there are size of them.
+        return self.dims is None or len(self.dims) == self.size
 
 
 def words(req: Request) -> list[Word]:
@@ -148,30 +151,43 @@ def length(req: Request) -> int:
 def closed_count(req: Request) -> int | None:
     """The number of words of a request, from its closed form; None for
     asymmetric ``dims`` and supq orbits, which have none.  A count too long
-    to print is given as 10^``printable_digits()``, once the product gets there.
+    to print is given as 10^``printable_digits()``, once the product gets
+    there, so no request builds anything the size of its n here.
 
-    - slnr and slmh, complete flags or symmetric ``dims`` with core parts
-      c_j: block pair j takes c_j disjoint pairs of neighbours from the
-      r_j letters left, r_0 = n and r_(j+1) = r_j - 2 c_j.  For slnr that
-      is binom(r_j - c_j, c_j) ways, pairs on a path of r_j letters; for
-      slmh binom(r_j / 2, c_j), over the aligned pairs (2v-1, 2v).  Complete
-      flags give (n-1)(n-3)... and (n/2)!.
+    - slnr and slmh, complete flags: (n-1)(n-3)... and (n/2)!.
+    - Symmetric ``dims`` with core parts c_j: block pair j takes c_j
+      disjoint pairs of neighbours from the r_j letters left, r_0 = n and
+      r_(j+1) = r_j - 2 c_j.  For slnr that is binom(r_j - c_j, c_j) ways,
+      pairs on a path of r_j letters; for slmh binom(r_j / 2, c_j), over
+      the aligned pairs (2v-1, 2v).  binom(a, k) >= (a / k)^k for
+      k <= a - k, so a factor whose bound is past the cap is not computed.
     - supq without an orbit: ``supq.count_i_pq(p, q)``, q factors of (n-1)(n-3)...
     """
-    cls = classify_symmetry(req.flag_dims)
-    if req.orbit is not None or not cls.is_symmetric:
+    if req.orbit is not None:
         return None
+    cap = _cap()
     if req.form == "supq":
-        factors = range(req.size - 1, 0, -2)[:req.q]
+        factors = range(req.size - 1, req.p - req.q, -2)
+    elif req.complete:
+        factors = range(req.n - 1, 0, -2) if req.form == "slnr" else range(req.n // 2, 0, -1)
     else:
+        cls = classify_symmetry(req.dims)
+        if not cls.is_symmetric:
+            return None
+
+        def binom(a: int, k: int) -> int:
+            k = min(k, a - k)
+            if cap and k and k * ((a // k).bit_length() - 1) >= cap.bit_length():
+                return cap  # (a / k)^k, a lower bound, is past it.
+            return comb(a, k)
         lefts = accumulate(cls.core, lambda left, c: left - 2 * c, initial=req.n)
-        factors = (comb(left - c, c) if req.form == "slnr" else comb(left // 2, c)
+        factors = (binom(left - c, c) if req.form == "slnr" else binom(left // 2, c)
                    for left, c in zip(lefts, cls.core))
-    total, digits = 1, printable_digits()
+    total = 1
     for factor in factors:
         total *= factor
-        if digits and total.bit_length() > 3 * digits and total >= 10 ** digits:  # 8^d < 10^d
-            return 10 ** digits
+        if cap and total >= cap:
+            return cap
     return total
 
 
@@ -186,6 +202,12 @@ def printable_digits() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+def _cap() -> int:
+    """10^``printable_digits()``, the least count too long to print; 0 for no limit."""
+    digits = printable_digits()
+    return digits and 10 ** digits
+
+
 # The command line writes each row as it is built, but builds the word list
 # of a request whole, so it refuses a request with a closed count over its
 # budget, or with asymmetric dims whose symmetric model's count is over it,
@@ -196,10 +218,11 @@ def printable_digits() -> int:
 # million words of 16 letters, MAX_ENTRIES the 30240 flags of points slnr
 # --n 10, about 360 MB of JSON.  Measured with streamed rows (child peak
 # resident set, Python 3.11, 2-vCPU host): enumerate slnr --n 15 (645120
-# words) takes 1.4 s and peaks at 129 MB, about 0.2 KB per word: the word
+# words) takes 0.6 s and peaks at 129 MB, about 0.2 KB per word: the word
 # tuples, plus one itemgetter per word of n = 13 while the first block pair
 # is read off; enumerate supq --p 3999 --q 1 (3999 words of 4000 letters)
-# takes 1.2 s, a peak of 137 MB and prints 151 MB; points slnr --n 10 (945
+# takes 1.0 s, a peak of 260 MB, most of it one itemgetter of 4000 positions
+# per gap, and prints 151 MB; points slnr --n 10 (945
 # words, 343 MB of JSON) peaks at 18 MB and takes 1.0 s, points supq --p 6
 # --q 4 (15120 flags) 17 MB and 0.9 s.  The number of words or flags needs
 # no budget of its own: more than a million words of 16 or more letters, or
@@ -221,18 +244,18 @@ def check_size(req: Request, points: bool = False) -> None:
         _check_points(req)
     if req.orbit is not None:
         return
-    total, digits = closed_count(req), printable_digits()
+    total, cap, digits = closed_count(req), _cap(), printable_digits()
     # A number past the cap is a lower bound (the count stops there), too long to print.
-    text = lambda v: str(v) if not digits or v < 10 ** digits else f"at least 10^{digits}"
+    text = lambda v: str(v) if not cap or v < cap else f"at least 10^{digits}"
     n, source = req.size, ""
     if total is None:
         model = slnr.measurable_model(req.dims).dhat
         total = closed_count(req._replace(dims=model))
         source = f" in the symmetric model {format_dims(model)}"
     if points:
-        per_word = (2 ** (req.n // 2) if req.form == "slnr"
-                    else 2 ** req.q if req.form == "supq" else 1)
-        found = total * per_word
+        # 2^log points per word: slnr 2^(n/2), supq 2^q, slmh one.
+        log = req.n // 2 if req.form == "slnr" else req.q if req.form == "supq" else 0
+        found = cap if cap and log >= cap.bit_length() else total << log
         if found * n * n > MAX_ENTRIES:
             raise ValueError(f"{text(found)} intersection points of {n} x {n} entries "
                              f"({text(found * n * n)} in all) exceed the limit of "

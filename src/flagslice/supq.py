@@ -268,13 +268,16 @@ def enumerate_i_pq(p: int, q: int, letters: Sequence | None = None) -> list[Word
     n = p + q
     letters = range(n + 1) if letters is None else letters
     words: list[Word] = [tuple(letters[q + 1:p + 1])]
+    # Every getter takes its positions from this one list, so each holds
+    # pointers to the same ints rather than ints of its own.
+    index = [*range(n)]
     for i in range(q, 0, -1):
         size, last = len(words[0]), len(words) - 1
         # base[j] is words[j] with the pair inserted at its end, and gets[t]
         # moves the pair to gap t.
         pair = letters[n + 1 - i], letters[i]
         base = [w + pair for w in words]
-        gets = [itemgetter(*range(t), size, size + 1, *range(t, size))
+        gets = [itemgetter(*index[:t], *index[size:size + 2], *index[t:size])
                 for t in range(size)]
         starts = [0] * size  # where the open node w[:t] of each depth began
         out: list[Word] = []

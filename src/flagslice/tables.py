@@ -1,10 +1,10 @@
 """
 The row-table writer of ``enumerate`` and ``points``: each row written
 straight from its word, spelt in letter texts, into one text template made
-once per request, ``points`` rows with their further fields and their
-flags, each flag joined from column texts made once per request, and the
-rows gathered into chunks with the bytes ``cli.render`` gives for the whole
-payload.  Every ``enumerate`` row of a request has the same length, so each
+once per request, under the request's own dims for both commands,
+``points`` rows with their further fields and their flags, each flag
+joined from column texts made once per request, and the rows gathered into
+chunks with the bytes ``cli.render`` gives for the whole payload.  Every ``enumerate`` row of a request has the same length, so each
 of its chunks is one join over a slice of the words.  ``cli`` loads this
 module only for those two commands.
 """

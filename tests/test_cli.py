@@ -1,8 +1,10 @@
 """Command surface: tables, formats, exit codes, determinism, verification."""
 
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from itertools import permutations, product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from flagslice import checks, cli, forms, geometry, homology, slnr, supq, tables
 from flagslice.permutations import double_factorial_descending, inversion_length, word_text
@@ -140,14 +142,43 @@ def test_count_past_the_printable_digits_exits_2(capsys, fmt):
     count = json.loads(out)["rows"][0]["count"] if fmt == "json" else \
         int(out.splitlines()[1])
     assert count == double_factorial_descending(2847) and len(str(count)) == 4300
-    for form, n in (("slnr", "2848"), ("slmh", "3118"), ("slnr", "100000")):
+    # The closed count of complete flags is read from n alone, and a binomial
+    # factor is judged by its bit length first, so huge sizes build nothing.
+    huge = str(10 ** 31)
+    for argv in (["--form", "slnr", "--n", "2848"], ["--form", "slmh", "--n", "3118"],
+                 ["--form", "slnr", "--n", "100000"], ["--form", "slnr", "--n", "10000000"],
+                 ["--form", "slnr", "--n", str(2 ** 63 - 1)],
+                 ["--form", "slmh", "--n", str(2 ** 63 - 2)],
+                 ["--form", "slnr", "--n", str(2 ** 63)],
+                 ["--form", "slnr", "--n", str(3 * 10 ** 31), "--dims", _text([huge] * 3)],
+                 ["--form", "slnr", "--n", "6000000", "--dims", "2000000,2000000,2000000"]):
         started = time.perf_counter()
-        assert cli.main(["count", "--form", form, "--n", n, "--format", fmt]) == 2
+        assert cli.main(["count", *argv, "--format", fmt]) == 2
         assert time.perf_counter() - started < 0.2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("error: the count has more than 4300 digits, past "
                                 "Python's limit for printing an integer\n")
+    # One factor, n - 1: a count that prints, although no word of it could.
+    assert cli.main(["count", "--form", "supq", "--p", str(2 ** 63 - 1), "--q", "1",
+                     "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert str(2 ** 63 - 1) in (out if fmt == "csv" else str(json.loads(out)["rows"]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 30000), min_size=1, max_size=3), st.integers(0, 15000),
+       st.sampled_from(["slnr", "slmh"]))
+def test_closed_counts_skip_only_binomials_past_the_cap(core, half, form):
+    # A binomial factor whose lower bound is past 10^4300 is not computed;
+    # the count is the product of every factor, or the cap once it is past.
+    dims = (*core, *[2 * half] * (half > 0), *reversed(core))
+    total, left = 1, sum(dims)
+    for c in core:
+        total *= math.comb(left - c, c) if form == "slnr" else math.comb(left // 2, c)
+        left -= 2 * c
+    cap = 10 ** forms.printable_digits()
+    assert forms.closed_count(forms.Request(form, n=sum(dims), dims=dims)) == min(total, cap)
 
 
 def test_points_counts(capsys):
@@ -349,6 +380,29 @@ def test_streamed_points_are_the_to_json_table(capsys):
                 assert cli.main(["points", *argv, "--format", fmt]) == 0
                 assert "".join(written) == expected, (argv, fmt)
                 assert len(written) == rows + (fmt == "json"), (argv, fmt)
+
+
+def test_points_rows_show_their_words_as_enumerate_does(capsys):
+    # Both read the display dims from the request: all-ones --dims give
+    # every word its blocks, one letter each, in points as in enumerate.
+    ones = [["--form", "slnr", "--n", "4", "--dims", "1,1,1,1"],
+            ["--form", "slmh", "--n", "4", "--dims", "1,1,1,1"],
+            ["--form", "supq", "--p", "2", "--q", "1", "--dims", "1,1,1", "--orbit=-++"]]
+    keys = ("word", "display", "blocks", "length")
+    for argv in _points_argvs() + ones:
+        shown = []
+        for command in ("enumerate", "points"):
+            assert cli.main([command, *argv]) == 0, (command, argv)
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            shown.append([{key: row.get(key) for key in keys} for row in rows])
+        assert shown[0] == shown[1], argv
+        if argv in ones:
+            first = shown[1][0]
+            assert first["blocks"] == [[int(v)] for v in first["word"].split()], argv
+            assert first["display"] == "".join(f"({v})" for v in first["word"].split())
+    # points --dims 1,1,1,1 used to show this word as 2431, without blocks.
+    assert cli.main(["points", *ones[0]]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"][0]["display"] == "(2)(4)(3)(1)"
 
 
 def _enumerate_argvs() -> list[list[str]]:
@@ -555,6 +609,14 @@ def test_streamed_requests_stay_near_the_interpreter_peak():
         assert peak_rss_mb(*argv) - idle <= 15, argv
 
 
+def test_supq_enumeration_shares_its_getter_positions():
+    # One itemgetter per gap holds up to n positions: as ints of their own
+    # they took about 168 MB above the idle interpreter at p = 1999, as
+    # pointers into one shared list about 61 MB.
+    idle = peak_rss_mb("count", "--form", "slnr", "--n", "2")
+    assert peak_rss_mb("enumerate", "--form", "supq", "--p", "1999", "--q", "1") - idle <= 100
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--form", "slnr", "--n", "18"],
     ["homology", "--form", "slmh", "--n", "24"],
@@ -578,6 +640,25 @@ def test_streamed_requests_stay_near_the_interpreter_peak():
     ["points", "--form", "slmh", "--n", "100000"],
     ["homology", "--form", "slmh", "--n", "40000"],
     ["enumerate", "--form", "supq", "--p", "60000", "--q", "40000"],
+    # Sizes past an index-sized int, or whose counts, products or binomial
+    # factors would take seconds or fail to build: refused from their bit
+    # lengths.  The supq orbit's words, one of n letters, are over the budget.
+    *([command, *argv] for command in ("enumerate", "points", "homology") for argv in (
+        ["--form", "slnr", "--n", str(2 ** 63 - 1)],
+        ["--form", "slmh", "--n", str(2 ** 63 - 2)],
+        ["--form", "slnr", "--n", str(2 ** 63)],
+        ["--form", "supq", "--p", str(2 ** 63 - 1), "--q", "1"],
+        ["--form", "slnr", "--n", "10000000"],
+        ["--form", "supq", "--p", "1000000000000", "--q", "1",
+         "--orbit", "a=0,1;b=1000000000000,0"])),
+    ["count", "--form", "supq", "--p", "1000000000000", "--q", "1",
+     "--orbit", "a=0,1;b=1000000000000,0"],
+    # slnr points of partial flags are refused as such, so their huge --dims
+    # ask for slmh points.
+    *([command, "--form", form, "--n", n, "--dims", dims]
+      for n, dims in ((str(3 * 10 ** 31), _text([10 ** 31] * 3)),
+                      ("6000000", "2000000,2000000,2000000"))
+      for command, form in (("enumerate", "slnr"), ("homology", "slnr"), ("points", "slmh"))),
 ])
 def test_oversized_requests_exit_2_before_enumerating(monkeypatch, capsys, argv):
     def refuse(*args, **kwargs):
@@ -594,6 +675,58 @@ def test_oversized_requests_exit_2_before_enumerating(monkeypatch, capsys, argv)
     lines = captured.err.splitlines()
     assert captured.out == "" and len(lines) == 1
     assert lines[0].startswith("error: ") and "exceed the limit" in lines[0]
+
+
+# Sizes from 10^8 up, past every budget, and the two sides of an index-sized int.
+HUGE = st.one_of(st.integers(10 ** 8, 10 ** 30), st.sampled_from([2 ** 63 - 1, 2 ** 63]))
+
+
+@st.composite
+def huge_argvs(draw) -> list[str]:
+    """A command line of every command but verify and of every form, whose
+    size options (--n, --p, --q, the parts of --dims and the block counts
+    of --orbit) are drawn from ``HUGE`` or from 0..3, at least one from
+    ``HUGE``."""
+    size = st.one_of(HUGE, st.integers(0, 3))
+    command = draw(st.sampled_from(["enumerate", "count", "points", "homology"]))
+    form = draw(st.sampled_from(forms.FORMS))
+    shape = draw(st.sampled_from(["whole", "parts"]))
+    if form != "supq":
+        if shape == "whole":
+            values = [draw(size)]
+            argv = ["--n", str(values[0])]
+        else:
+            values = draw(st.lists(size.map(lambda v: max(v, 1)), min_size=1, max_size=4))
+            values[0] += form == "slmh" and sum(values) % 2
+            argv = ["--n", str(sum(values)), "--dims", _text(values)]
+    else:
+        if shape == "whole":
+            values = sorted([draw(size), draw(size)], reverse=True)
+            argv = ["--p", str(values[0]), "--q", str(values[1])]
+        else:
+            blocks = draw(st.lists(st.tuples(size, size), min_size=1, max_size=3))
+            a, b = zip(*blocks)
+            if sum(a) > sum(b):
+                a, b = b, a
+            values = [*a, *b]
+            argv = ["--p", str(sum(b)), "--q", str(sum(a)),
+                    "--orbit", f"a={_text(a)};b={_text(b)}"]
+    assume(max(values) >= 10 ** 8)
+    return [command, "--form", form, *argv]
+
+
+@settings(deadline=None)
+@given(huge_argvs())
+def test_huge_size_options_answer_or_exit_2_at_once(argv):
+    # Each such request prints its count or exits 2, in O(1): never a
+    # traceback (1), a failed check (3) or an internal error (4).
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert code == 2 or argv[0] == "count", argv
+    assert time.perf_counter() - started < 0.2, argv
 
 
 def test_size_limits_sit_between_the_measured_requests():
@@ -899,6 +1032,19 @@ def test_verify_rejects_samples_below_one():
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "--samples" in lines[0]
+
+
+@pytest.mark.parametrize("samples", [cli.MAX_SAMPLES + 1, 10 ** 30])
+def test_verify_refuses_samples_past_the_bound(capsys, monkeypatch, samples):
+    # Each sample costs about 0.04 s, so 10^30 of them would never end: the
+    # bound refuses them before any check runs.
+    monkeypatch.setattr(checks, "full_suite", None)
+    started = time.perf_counter()
+    assert cli.main(["verify", "--samples", str(samples)]) == 2
+    assert time.perf_counter() - started < 0.2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: --samples must be from 1 to {cli.MAX_SAMPLES}, got {samples}\n")
 
 
 def test_python_dash_m_flagslice_runs_the_command_line():

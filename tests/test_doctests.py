@@ -1,24 +1,26 @@
 """Run the docstring examples shipped with the library modules, and the demos."""
 
 import doctest
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from flagslice import (cli, flags, forms, gaussian, geometry, homology,
-                       permutations, slmh, slnr, supq)
+import flagslice
 
 ROOT = Path(__file__).resolve().parent.parent
+# Every module of the package; running ``__main__`` would run the command line.
+MODULES = sorted(info.name for info in pkgutil.iter_modules(flagslice.__path__)
+                 if info.name != "__main__")
 
 
-@pytest.mark.parametrize("module", [
-    permutations, gaussian, flags, geometry, slnr, slmh, supq, homology, forms, cli,
-])
-def test_module_doctests(module):
-    failures, _ = doctest.testmod(module, verbose=False)
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    failures, _ = doctest.testmod(importlib.import_module(f"flagslice.{name}"), verbose=False)
     assert failures == 0
 
 
