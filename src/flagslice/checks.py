@@ -16,12 +16,13 @@ from itertools import combinations, permutations as iter_permutations
 from typing import NamedTuple
 
 from . import forms, slmh, slnr, supq
-from .geometry import (FlagMatrix, bilinear_b, in_base_cycle_su,
-                       in_open_orbit_su, is_isotropic_flag, is_tau_generic,
-                       iwasawa_reference_h, iwasawa_reference_su,
+from .geometry import (FlagMatrix, bilinear_b, conjugate_meeting_witness,
+                       conjugate_span_dims, degenerate_witness, hermitian_h,
+                       in_base_cycle_su, in_open_orbit_su, is_isotropic_flag,
+                       is_tau_generic, iwasawa_reference_h, iwasawa_reference_su,
                        orbit_label_su, orientation_class, random_cell_sample,
-                       schubert_cell_membership, standard_reference,
-                       symplectic_omega, tau_generic_full_flag)
+                       schubert_cell_membership, self_dual_levels,
+                       standard_reference, symplectic_omega, tau_generic_full_flag)
 from .permutations import Word, classify_symmetry, inversion_length, word_text
 
 
@@ -228,32 +229,61 @@ def check_transposition_points_supq(sizes=((2, 1), (2, 2), (3, 2))) -> CheckResu
                    f"sizes {list(sizes)}", failures)
 
 
-# -- randomized genericity sampling vs the open-orbit predicates ------------------
+# -- genericity of each cell vs the open-orbit predicates -----------------------
+
+
+def _complementary_words(n: int, length: int):
+    """The words on 1..n of inversion length ``length``."""
+    return (word for word in iter_permutations(range(1, n + 1))
+            if inversion_length(word) == length)
 
 
 def _sampling_failures(cases, seed: int, tag: int, samples: int) -> list[str]:
     """Per case (label, reference, complementary length, predicate, hit
-    test), every word of that length whose predicate disagrees with sampled
-    membership.  A predicted hit gets 5 * ``samples`` draws, a predicted
-    miss ``samples``; the draws stop at the first hit."""
+    test, miss witness), every word of that length whose predicate disagrees
+    with the geometry of its cell, and a failure if there is no such word.
+
+    Both outcomes are certified exactly.  A predicted miss needs a witness
+    (``conjugate_meeting_witness`` or ``degenerate_witness``): ranks that
+    keep the whole cell out of the open orbits, found without an elimination
+    or a draw.  A predicted hit needs a cell point that passes the hit test:
+    up to 5 * ``samples`` draws of ``random_cell_sample``, seeded by
+    ``_derived_seed(seed, tag, word, trial)``, stopping at the first hit.
+    Each failure names its reproducer: the case, the word, ``tag`` and
+    ``seed``."""
     failures = []
-    for label, reference, length, predicate, hit in cases:
-        for word in iter_permutations(range(1, reference.n + 1)):
-            if inversion_length(word) != length:
+    where = f"tag {tag}, seed {seed}"
+    for label, reference, length, predicate, hit, witness in cases:
+        words = list(_complementary_words(reference.n, length))
+        if not words:
+            failures.append(f"{label}: no word of length {length} ({where})")
+        for word in words:
+            if not predicate(word):
+                if witness(word) is None:
+                    failures.append(f"{label} {word_text(word)}: predicted miss, "
+                                    f"no witness ({where})")
                 continue
-            predicted = predicate(word)
-            found = any(hit(random_cell_sample(word, reference,
-                                               _derived_seed(seed, tag, word, trial)))
-                        for trial in range(5 * samples if predicted else samples))
-            if predicted != found:
-                failures.append(f"{label} {word_text(word)}: predicted {predicted}, sampled {found}")
+            trials = 5 * samples
+            if not any(hit(random_cell_sample(word, reference,
+                                              _derived_seed(seed, tag, word, trial)))
+                       for trial in range(trials)):
+                failures.append(f"{label} {word_text(word)}: predicted hit, "
+                                f"none in {trials} draws ({where})")
     return failures
 
 
+def _genericity_case(label: str, reference: FlagMatrix, length: int, predicate,
+                     conj: str):
+    spans = conjugate_span_dims(reference, conj)
+    return (label, reference, length, predicate,
+            lambda flag: tau_generic_full_flag(flag, conj),
+            lambda word: conjugate_meeting_witness(word, spans))
+
+
 def check_sampling_slnr(n_values=range(2, 7), seed: int = 0, samples: int = 20) -> CheckResult:
-    cases = [(f"n={n}", standard_reference(n), forms.length(forms.Request("slnr", n=n)),
-              lambda word: slnr.spacing_check(word),
-              lambda flag: tau_generic_full_flag(flag, "real-conjugation"))
+    cases = [_genericity_case(f"n={n}", standard_reference(n),
+                              forms.length(forms.Request("slnr", n=n)),
+                              lambda word: slnr.spacing_check(word), "real-conjugation")
              for n in n_values]
     return _result("spacing predicate == sampled open-orbit membership",
                    f"n in {list(n_values)}, {samples} seeds",
@@ -261,23 +291,27 @@ def check_sampling_slnr(n_values=range(2, 7), seed: int = 0, samples: int = 20) 
 
 
 def check_sampling_slmh(m_values=range(1, 4), seed: int = 0, samples: int = 20) -> CheckResult:
-    cases = [(f"m={m}", iwasawa_reference_h(m), forms.length(forms.Request("slmh", n=2 * m)),
-              lambda word: slmh.spacing_check_h(word),
-              lambda flag: tau_generic_full_flag(flag, "quaternion-j"))
+    cases = [_genericity_case(f"m={m}", iwasawa_reference_h(m),
+                              forms.length(forms.Request("slmh", n=2 * m)),
+                              lambda word: slmh.spacing_check_h(word), "quaternion-j")
              for m in m_values]
     return _result("quaternionic spacing == sampled open-orbit membership",
                    f"m in {list(m_values)}, {samples} seeds",
                    _sampling_failures(cases, seed, 2, samples))
 
 
+def _nondegeneracy_case(p: int, q: int):
+    reference = iwasawa_reference_su(p, q)
+    levels = self_dual_levels(reference, hermitian_h(p, q))
+    return (f"({p},{q})", reference, forms.length(forms.Request("supq", p=p, q=q)),
+            lambda word: supq.pairing_check(word, p, q),
+            lambda flag: orbit_label_su(flag, p, q) is not None,
+            lambda word: degenerate_witness(word, levels))
+
+
 def check_sampling_supq(sizes=((2, 1), (2, 2), (3, 2)), seed: int = 0,
                         samples: int = 20) -> CheckResult:
-    # p and q are bound per case: a late-bound closure would see the last size.
-    cases = [(f"({p},{q})", iwasawa_reference_su(p, q),
-              forms.length(forms.Request("supq", p=p, q=q)),
-              lambda word, p=p, q=q: supq.pairing_check(word, p, q),
-              lambda flag, p=p, q=q: orbit_label_su(flag, p, q) is not None)
-             for p, q in sizes]
+    cases = [_nondegeneracy_case(p, q) for p, q in sizes]
     return _result("pairing predicate == sampled nondegenerate-orbit membership",
                    f"sizes {list(sizes)}, {samples} seeds",
                    _sampling_failures(cases, seed, 3, samples))

@@ -2,8 +2,8 @@
 The exact geometric oracle: the three ambient structures (symmetric bilinear
 form, symplectic form, indefinite Hermitian form) and the membership tests
 of flags over Q(i): conjugation-genericity (open orbits), isotropy (base
-cycles), signature conditions, Schubert-cell membership and randomized cell
-sampling.
+cycles), signature conditions, Schubert-cell membership, randomized cell
+sampling and exact witnesses that a whole cell misses the open orbits.
 
 The flag container ``FlagMatrix`` and ``unit_vector`` live in ``flags``,
 which the output path loads without this module; they are re-exported here
@@ -22,6 +22,14 @@ one relative-position elimination.  The base-cycle test
 ``is_isotropic_flag`` is one on partial flags; on a complete flag it needs
 no elimination, as it reads the zero pattern of the Gram matrix: zero above
 the antidiagonal and nonzero on it.
+
+A whole Schubert cell can be shown to miss the open orbits without a point
+of it: on the cell of w, dim(V_d ∩ F_k) = #{v in w[:d] : v <= k}
+(``cell_ranks``), and ``conjugate_meeting_witness`` and
+``degenerate_witness`` compare these ranks with dimensions read once off
+the reference flag, with no elimination per word.  ``verify`` certifies
+each predicted miss by one of them, and samples cell points
+(``random_cell_sample``) for predicted hits only.
 
 Everything here is exact; no floating point is ever used.
 """
@@ -285,6 +293,85 @@ def schubert_cell_membership(flag: FlagMatrix, word: Sequence[int],
     coords, _ = zsolve(reference.zcols, flag.zcols)
     marks, _ = eliminate(coords)
     return all(set(marks[:d]) == set(v - 1 for v in word[:d]) for d in flag.dims)
+
+
+# -- exact witnesses that a whole Schubert cell misses the open orbits ----------
+
+
+def cell_ranks(word: Sequence[int]) -> list[list[int]]:
+    """r[d][k] = #{v in word[:d] : v <= k} for d, k in 0..n.  On the
+    Schubert cell of the word this is dim(V_d ∩ F_k), F the reference flag:
+    the relative position that ``schubert_cell_membership`` tests.
+
+    >>> cell_ranks((2, 1))
+    [[0, 0, 0], [0, 0, 1], [0, 1, 2]]
+    """
+    n = len(word)
+    rows = [[0] * (n + 1)]
+    for v in word:
+        rows.append(rows[-1][:v] + [x + 1 for x in rows[-1][v:]])
+    return rows
+
+
+def conjugate_span_dims(reference: FlagMatrix, conj: str) -> list[list[int]]:
+    """S[k][l] = dim(F_k + conj(F_l)) for k, l in 0..n: one ``prefix_ranks``
+    per k, over the first k columns of F followed by all conjugated ones."""
+    tau = [conjugation(conj)(c) for c in reference.zcols]
+    return [prefix_ranks(list(reference.zcols[:k]) + tau)[k:] for k in range(reference.n + 1)]
+
+
+def conjugate_meeting_witness(word: Sequence[int], spans: Sequence[Sequence[int]],
+                              ) -> tuple[int, int, int] | None:
+    """Levels (j, k, l), j <= n/2, with r[j][k] + r[n-j][l] > spans[k][l]
+    (``cell_ranks`` of the word, ``conjugate_span_dims`` of the reference),
+    or None.
+
+    Such levels show that no point of the word's cell is conjugation-generic:
+    V_j ∩ F_k and conj(V_(n-j) ∩ F_l) both lie in F_k + conj(F_l), and
+    their dimensions sum past its dimension, so they meet, and
+    V_j ∩ conj(V_(n-j)) ≠ 0 on the whole cell.
+
+    >>> spans = conjugate_span_dims(standard_reference(2), "real-conjugation")
+    >>> conjugate_meeting_witness((1, 2), spans), conjugate_meeting_witness((2, 1), spans)
+    ((1, 1, 1), None)
+    """
+    n = len(word)
+    r = cell_ranks(word)
+    return next(((j, k, l) for j in range(1, n // 2 + 1) for k in range(n + 1)
+                 for l in range(n + 1) if r[j][k] + r[n - j][l] > spans[k][l]), None)
+
+
+def self_dual_levels(reference: FlagMatrix, form: FormSpec) -> list[int]:
+    """The levels a in 0..n with F_a^perp = F_(n-a).  The form is
+    nondegenerate, so F_a^perp has dimension n - a, and it is F_(n-a) exactly
+    when the Gram matrix of the columns vanishes on rows < a, columns < n - a.
+
+    >>> self_dual_levels(iwasawa_reference_su(3, 1), hermitian_h(3, 1))
+    [0, 1, 3, 4]
+    """
+    n, gram = reference.n, form.gram(reference.zcols)
+    return [a for a in range(n + 1)
+            if all(gram[i][j] == (0, 0) for i in range(a) for j in range(n - a))]
+
+
+def degenerate_witness(word: Sequence[int], levels: Sequence[int]) -> tuple[int, int] | None:
+    """Levels (j, a), a in ``levels`` (``self_dual_levels`` of the
+    reference), with r[j][a] + r[j][n-a] > j (``cell_ranks`` of the word),
+    or None.
+
+    Such levels show that V_j is degenerate on the whole cell of the word:
+    as F_a^perp = F_(n-a), dim(V_j^perp ∩ F_a) = n - dim(V_j + F_(n-a)) =
+    a - j + r[j][n-a], so it and V_j ∩ F_a, of dimension r[j][a], are two
+    subspaces of F_a whose dimensions sum past a, and they meet.
+
+    >>> levels = self_dual_levels(iwasawa_reference_su(1, 1), hermitian_h(1, 1))
+    >>> degenerate_witness((1, 2), levels), degenerate_witness((2, 1), levels)
+    ((1, 1), None)
+    """
+    n = len(word)
+    r = cell_ranks(word)
+    return next(((j, a) for j in range(1, n) for a in levels
+                 if r[j][a] + r[j][n - a] > j), None)
 
 
 def random_cell_sample(word: Sequence[int], reference: FlagMatrix, seed: int,

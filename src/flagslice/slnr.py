@@ -297,12 +297,26 @@ def _pair_words(core: Sequence[int], n: int, aligned: bool = False,
     r = n - 2 * sum(core)
     words = [tuple(range(r)) if core else spelt]  # The middle block.
 
-    def choices(residual: Word, left: int, start: int, heads: Word, tails: Word):
-        # ``left`` more pairs, the next at edge >= start.
-        for t in range(start, len(residual) - 2 * left + 1, stride):
+    def edges(residual: Word, left: int, start: int):
+        # The edges of the next of ``left`` pairs: start or later.
+        return iter(range(start, len(residual) - 2 * left + 1, stride))
+
+    def choices(residual: Word, left: int):
+        # Depth first, in order, with one frame per pair placed so far; a
+        # block of 2000 pairs would pass the recursion limit.
+        stack = [(residual, left, (), (), edges(residual, left, 0))]
+        while stack:
+            residual, left, heads, tails, untried = stack[-1]
+            t = next(untried, None)
+            if t is None:
+                stack.pop()
+                continue
             rest = residual[:t] + residual[t + 2:]
             k, l = heads + (residual[t + head],), tails + (residual[t + 1 - head],)
-            yield from (choices(rest, left - 1, t, k, l) if left > 1 else (k + l + rest,))
+            if left > 1:
+                stack.append((rest, left - 1, k, l, edges(rest, left - 1, t)))
+            else:
+                yield k + l + rest
 
     for j, c in reversed([*enumerate(core)]):
         r += 2 * c
@@ -310,7 +324,7 @@ def _pair_words(core: Sequence[int], n: int, aligned: bool = False,
                    for word in words]
         del words  # Freed before the next level's words are built.
         residual = spelt if j == 0 else tuple(range(r))
-        words = [get(picked) for picked in choices(residual, c, 0, (), ())
+        words = [get(picked) for picked in choices(residual, c)
                  for get in getters]
     return words
 

@@ -9,13 +9,14 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from itertools import permutations, product
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from flagslice import checks, cli, forms, geometry, homology, slnr, supq, tables
+from flagslice import checks, cli, forms, geometry, homology, slmh, slnr, supq, tables
 from flagslice.permutations import double_factorial_descending, inversion_length, word_text
 
 
@@ -677,6 +678,17 @@ def test_oversized_requests_exit_2_before_enumerating(monkeypatch, capsys, argv)
     assert lines[0].startswith("error: ") and "exceed the limit" in lines[0]
 
 
+@pytest.mark.parametrize("command, form", [("homology", "slnr"), ("homology", "slmh"),
+                                           ("enumerate", "slnr")])
+def test_a_block_of_thousands_of_pairs_is_walked_without_recursion(capsys, command, form):
+    # The one word of (2000, 2000) places 2000 pairs in one block; a walk
+    # with a stack frame per pair passed the recursion limit.
+    argv = [command, "--form", form, "--n", "4000", "--dims", "2000,2000"]
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 1 and len(rows[0].get("classes", [None])) == 1
+
+
 # Sizes from 10^8 up, past every budget, and the two sides of an index-sized int.
 HUGE = st.one_of(st.integers(10 ** 8, 10 ** 30), st.sampled_from([2 ** 63 - 1, 2 ** 63]))
 
@@ -947,6 +959,69 @@ def test_verify_reports_corrupted_predicate(monkeypatch, capsys):
     assert "2 5 6 3 4 1" in result.detail
 
 
+def _counted_draws(monkeypatch) -> Counter:
+    """The words ``checks`` draws cell points of, with their draw counts."""
+    draws = Counter()
+    original = checks.random_cell_sample
+
+    def counted(word, reference, seed, dims=None):
+        draws[tuple(word)] += 1
+        return original(word, reference, seed, dims)
+
+    monkeypatch.setattr(checks, "random_cell_sample", counted)
+    return draws
+
+
+def test_verify_reports_a_miss_corrupted_to_hit_after_its_draws(monkeypatch):
+    # The opposite corruption: a predicted hit is certified only by a draw
+    # that hits, so a genuine miss called a hit fails after all 5N draws.
+    healthy = slnr.spacing_check
+    victim = (1, 5, 6, 4, 3, 2)  # complementary length, genuinely not spacing
+    assert not healthy(victim)
+    monkeypatch.setattr(slnr, "spacing_check", lambda word: word == victim or healthy(word))
+    draws = _counted_draws(monkeypatch)
+    result = checks.check_sampling_slnr(n_values=(6,), seed=4, samples=2)
+    assert not result.passed and draws[victim] == 10
+    assert result.detail == "n=6 1 5 6 4 3 2: predicted hit, none in 10 draws (tag 1, seed 4)"
+
+
+@pytest.mark.parametrize("check, cases", [
+    ("check_sampling_slnr", [(forms.Request("slnr", n=n), slnr.spacing_check)
+                             for n in range(2, 7)]),
+    ("check_sampling_slmh", [(forms.Request("slmh", n=2 * m), slmh.spacing_check_h)
+                             for m in range(1, 4)]),
+    ("check_sampling_supq", [(forms.Request("supq", p=p, q=q),
+                              lambda word, p=p, q=q: supq.pairing_check(word, p, q))
+                             for p, q in ((2, 1), (2, 2), (3, 2))]),
+])
+def test_verify_draws_for_predicted_hits_only(monkeypatch, check, cases):
+    # Each predicted miss is certified by its witness with no draw; each
+    # predicted hit draws until it hits, at most 5N times.
+    draws = _counted_draws(monkeypatch)
+    assert getattr(checks, check)(seed=0, samples=3).passed
+    hits = {word for req, predicate in cases
+            for word in permutations(range(1, req.size + 1))
+            if inversion_length(word) == forms.length(req) and predicate(word)}
+    assert set(draws) == hits and max(draws.values()) <= 15
+
+
+def test_verify_fails_a_sampling_case_without_words(monkeypatch, capsys):
+    # A case that examines no word certifies nothing, so its row fails.
+    words = checks._complementary_words
+    monkeypatch.setattr(checks, "_complementary_words",
+                        lambda n, length: iter(()) if n == 4 else words(n, length))
+    assert cli.main(["verify", "--seed", "3", "--samples", "1"]) == 3
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    failed = {row["check"]: row["detail"] for row in rows if row["status"] == "fail"}
+    assert failed == {
+        "spacing predicate == sampled open-orbit membership":
+            "n=4: no word of length 4 (tag 1, seed 3)",
+        "quaternionic spacing == sampled open-orbit membership":
+            "m=2: no word of length 2 (tag 2, seed 3)",
+        "pairing predicate == sampled nondegenerate-orbit membership":
+            "(2,2): no word of length 4 (tag 3, seed 3)"}
+
+
 @pytest.mark.parametrize("form, check, field, victim", [
     ("slnr", "check_points_slnr", "orientations", (2, 4, 3, 1)),
     ("supq", "check_transposition_points_supq", "orbits", (3, 1, 2)),
@@ -1036,8 +1111,8 @@ def test_verify_rejects_samples_below_one():
 
 @pytest.mark.parametrize("samples", [cli.MAX_SAMPLES + 1, 10 ** 30])
 def test_verify_refuses_samples_past_the_bound(capsys, monkeypatch, samples):
-    # Each sample costs about 0.04 s, so 10^30 of them would never end: the
-    # bound refuses them before any check runs.
+    # A predicted hit that fails draws 5 points per sample, so 10^30 of them
+    # would never end: the bound refuses them before any check runs.
     monkeypatch.setattr(checks, "full_suite", None)
     started = time.perf_counter()
     assert cli.main(["verify", "--samples", str(samples)]) == 2

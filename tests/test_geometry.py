@@ -9,17 +9,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flagslice import flags, forms, gaussian, geometry, slmh, slnr
+from flagslice import flags, forms, gaussian, geometry, slmh, slnr, supq
 from flagslice.gaussian import GQ, I, clear, gmul, gq_of, gq_vector, prefix_ranks, zsolve
-from flagslice.geometry import (FlagMatrix, bilinear_b, conjugation, hermitian_h,
-                                in_base_cycle_su, in_open_orbit_su, is_isotropic_flag,
+from flagslice.geometry import (FlagMatrix, bilinear_b, cell_ranks, conjugate_meeting_witness,
+                                conjugate_span_dims, conjugation, degenerate_witness,
+                                hermitian_h, in_base_cycle_su, in_open_orbit_su, is_isotropic_flag,
                                 is_maximally_isotropic, is_tau_generic,
                                 iwasawa_reference_h, iwasawa_reference_su,
                                 orbit_label_su, orientation_class,
                                 random_cell_sample, schubert_cell_membership,
-                                signature, standard_reference, symplectic_omega,
-                                tau_generic_full_flag, unit_vector)
-from flagslice.permutations import classify_symmetry
+                                self_dual_levels, signature, standard_reference,
+                                symplectic_omega, tau_generic_full_flag, unit_vector)
+from flagslice.permutations import classify_symmetry, inversion_length
 
 entries = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
 cleared_vectors = st.builds(lambda v, den: clear(gq_of(v, den))[0],
@@ -307,6 +308,66 @@ def test_random_cell_sample_is_deterministic_and_in_cell():
     assert a.columns == b.columns
     assert a.columns != c.columns
     assert schubert_cell_membership(a, word, reference)
+
+
+def _references(max_n):
+    """Each form's reference flag with ambient dimension up to ``max_n``."""
+    refs = [standard_reference(n) for n in range(1, max_n + 1)]
+    refs += [iwasawa_reference_h(m) for m in range(1, max_n // 2 + 1)]
+    return refs + [iwasawa_reference_su(n - q, q) for n in range(2, max_n + 1)
+                   for q in range(1, n // 2 + 1)]
+
+
+def test_cell_ranks_are_the_relative_position_of_cell_points():
+    # The premise of both witnesses: dim(V_d ∩ F_k) = r_w(d, k) on the whole
+    # cell of w, here at two sampled points of every cell of each reference.
+    for reference in _references(5):
+        n = reference.n
+        for word in permutations(range(1, n + 1)):
+            r = cell_ranks(word)
+            for seed in range(2):
+                cols = random_cell_sample(word, reference, seed).zcols
+                for d in range(n + 1):
+                    ranks = prefix_ranks(list(cols[:d]) + list(reference.zcols))
+                    assert [d + k - ranks[d + k] for k in range(n + 1)] == r[d], (word, d)
+
+
+def _words_of_length(n, length):
+    return [w for w in permutations(range(1, n + 1)) if inversion_length(w) == length]
+
+
+def test_predicates_hold_exactly_when_no_witness():
+    # verify certifies each predicted miss by its witness alone, so the
+    # witness must exist on exactly the words that each predicate rejects.
+    seen = []
+    for n in range(2, 9):
+        spans = conjugate_span_dims(standard_reference(n), "real-conjugation")
+        words = _words_of_length(n, forms.length(forms.Request("slnr", n=n)))
+        seen += [slnr.spacing_check(w) == (conjugate_meeting_witness(w, spans) is None)
+                 for w in words]
+    for m in range(1, 5):
+        spans = conjugate_span_dims(iwasawa_reference_h(m), "quaternion-j")
+        words = _words_of_length(2 * m, forms.length(forms.Request("slmh", n=2 * m)))
+        seen += [slmh.spacing_check_h(w) == (conjugate_meeting_witness(w, spans) is None)
+                 for w in words]
+    for n in range(2, 9):
+        for q in range(1, n // 2 + 1):
+            p = n - q
+            levels = self_dual_levels(iwasawa_reference_su(p, q), hermitian_h(p, q))
+            # The levels strictly between q and p would give false witnesses.
+            assert levels == [a for a in range(n + 1) if a <= q or a >= p], (p, q)
+            words = _words_of_length(n, forms.length(forms.Request("supq", p=p, q=q)))
+            seen += [supq.pairing_check(w, p, q) == (degenerate_witness(w, levels) is None)
+                     for w in words]
+    assert len(seen) == 4099 + 3546 + 13276 and all(seen), seen.count(False)
+
+
+def test_standard_spans_are_the_larger_level():
+    # The coordinate flag is real: conj(F_l) = F_l, so F_k + conj(F_l) is
+    # the larger of the two.
+    for n in range(1, 7):
+        assert conjugate_span_dims(standard_reference(n), "real-conjugation") == [
+            [max(k, l) for l in range(n + 1)] for k in range(n + 1)]
 
 
 def _dense_cell_sample(word, reference, seed, dims=None):
